@@ -9,7 +9,7 @@ default budget cannot close either way.
 Usage examples:
     python scripts/conjecture_sweep.py
     python scripts/conjecture_sweep.py --fast "tadpole:4,m for m in 1,3,5,7"
-    EVOGRAPH_THREADS=8 python scripts/conjecture_sweep.py --restarts 60
+    python scripts/conjecture_sweep.py --restarts 60
 """
 
 import argparse

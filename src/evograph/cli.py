@@ -11,7 +11,6 @@ Commands:
 
 Exit codes: 0 ok; 1 internal soundness tripwire; 2 input error;
 3 budget exhausted where a certification was required.
-EVOGRAPH_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .deduce import Budget, prove_null_only
@@ -422,15 +420,7 @@ def cmd_sweep(args) -> int:
     instances = parse_sweep(args.range)
     budget = Budget(max_depth=args.depth)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
-    threads = int(os.environ.get("EVOGRAPH_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    rows: list[dict] = []
-    if instances:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_sweep_row, inst, budget, cfg, not args.fast)
-                for inst in instances
-            ]
-            rows = [f.result() for f in futures]  # ordered by instance index
+    rows = [_sweep_row(inst, budget, cfg, not args.fast) for inst in instances]
     if args.json:
         print(json.dumps(rows, indent=2))
     else:

@@ -53,10 +53,6 @@ class Verdict:
     reason: str = ""
     witness: HomCandidate | None = None
 
-    @property
-    def is_null_only(self) -> bool:
-        return self.kind == NULL_ONLY
-
 
 class BudgetExhausted(Exception):
     pass
@@ -71,7 +67,6 @@ class _Shared:
         self.log = ProofLog()
         self.next_sid = 0
         self.open_leaves: list["DeductionState"] = []
-        self.exhausted = False
         self.depth_cut = False
 
 
@@ -115,7 +110,6 @@ class DeductionState:
     def emit(self, rule: str, premises, conclusion, payload=None) -> Ref:
         sh = self.shared
         if sh.next_sid >= sh.budget.max_steps:
-            sh.exhausted = True
             raise BudgetExhausted()
         step = Step(
             sid=sh.next_sid,

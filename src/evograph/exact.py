@@ -34,38 +34,6 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_cofactor(rows: list[list[int]]) -> int:
-    """Determinant by cofactor expansion, memoized on column subsets.
-
-    Exponential; used only as an independent cross-check oracle on
-    small matrices.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    cache: dict[tuple[int, int], int] = {}
-    full = (1 << n) - 1
-
-    def minor(row: int, cols: int) -> int:
-        if row == n:
-            return 1
-        key = (row, cols)
-        if key in cache:
-            return cache[key]
-        total = 0
-        sign = 1
-        for j in range(n):
-            if not (cols >> j) & 1:
-                continue
-            if rows[row][j] != 0:
-                total += sign * rows[row][j] * minor(row + 1, cols & ~(1 << j))
-            sign = -sign
-        cache[key] = total
-        return total
-
-    return minor(0, full)
-
-
 def rank(rows: list[list[Fraction]]) -> int:
     """Exact rank by Gaussian elimination over the rationals."""
     m = [list(r) for r in rows]
@@ -88,10 +56,3 @@ def rank(rows: list[list[Fraction]]) -> int:
             break
     return r
 
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def scale(mat: list[list[Fraction]], c: Fraction) -> list[list[Fraction]]:
-    return [[c * x for x in row] for row in mat]

@@ -97,12 +97,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    deg: dict[int, int]
-    neighborhoods: dict[int, frozenset[int]]
-
-
-@dataclass(frozen=True)
 class TwinPartition:
     """Partition of the vertex set by equal open neighbourhoods."""
 
@@ -113,9 +107,6 @@ class TwinPartition:
             if v in cls:
                 return cls
         raise OutOfRange(f"vertex {v} not in partition")
-
-    def nontrivial(self) -> list[tuple[int, ...]]:
-        return [cls for cls in self.classes if len(cls) > 1]
 
 
 @dataclass(frozen=True)
@@ -183,13 +174,6 @@ def _check_connected(g: Graph) -> None:
 def adjacency_matrix(g: Graph) -> list[list[Fraction]]:
     """Adjacency matrix as exact rationals (symmetric, zero diagonal)."""
     return [[Fraction(x) for x in row] for row in g.adj]
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    return DegreeProfile(
-        deg={v: g.degree(v) for v in g.vertices()},
-        neighborhoods={v: g.neighbors(v) for v in g.vertices()},
-    )
 
 
 def twin_partition(g: Graph) -> TwinPartition:

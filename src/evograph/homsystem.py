@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .algebra import DimensionMismatch, build_adjacency_algebra, build_rw_algebra, multiply, Element
+from .algebra import DimensionMismatch, Element, _scalar_is_zero, build_adjacency_algebra, build_rw_algebra, multiply
 from .exact import rank
 from .graphs import Graph
 from .radicals import RadicalSum
@@ -123,13 +123,7 @@ class ResidualReport:
     max_norm: float
 
     def is_exact_zero(self) -> bool:
-        return all(_is_zero_scalar(v) for v in self.values)
-
-
-def _is_zero_scalar(v) -> bool:
-    if isinstance(v, RadicalSum):
-        return v.is_zero
-    return v == 0
+        return all(_scalar_is_zero(v) for v in self.values)
 
 
 def residual(sys: HomSystem, T: HomCandidate) -> ResidualReport:
@@ -151,11 +145,11 @@ def _apply_candidate(T: HomCandidate, z: Element, zero) -> Element:
     acc = [zero] * n
     for i in range(n):
         zi = z.coeffs[i]
-        if _is_zero_scalar(zi):
+        if _scalar_is_zero(zi):
             continue
         for k in range(n):
             e = T.entries[i][k]
-            if not _is_zero_scalar(e):
+            if not _scalar_is_zero(e):
                 acc[k] = acc[k] + e * zi
     return Element(tuple(acc))
 

@@ -50,21 +50,8 @@ def add_scaled(p: Poly, q: Poly, lam: Fraction) -> Poly:
     return out
 
 
-def scale(p: Poly, lam: Fraction) -> Poly:
-    if lam == 0:
-        return {}
-    return {m: lam * c for m, c in p.items()}
-
-
 def poly_vars(p: Poly) -> set[int]:
     return {v for m in p for v in m}
-
-
-def degree_of_var(p: Poly, v: int) -> int:
-    d = 0
-    for m in p:
-        d = max(d, m.count(v))
-    return d
 
 
 def substitute_var(p: Poly, v: int, repl: Poly) -> Poly:
@@ -117,16 +104,3 @@ def evaluate(p: Poly, value_of) -> object:
         total = term if total is None else total + term
     return total if total is not None else Fraction(0)
 
-
-def to_string(p: Poly, var_name) -> str:
-    if not p:
-        return "0"
-    bits = []
-    for m in sorted(p, key=mono_key):
-        c = p[m]
-        if not m:
-            bits.append(str(c))
-        else:
-            mono = "*".join(var_name(v) for v in m)
-            bits.append(f"{c}*{mono}" if c != 1 else mono)
-    return " + ".join(bits)

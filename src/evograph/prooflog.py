@@ -32,7 +32,6 @@ RULES = frozenset(
         "substitute",
         "square-sum-zero",
         "single-monomial-zero",
-        "product-nonzero-cancel",
         "mutex-elim",
         "linear-solve",
         "quad-solve-nonzero",
@@ -171,12 +170,8 @@ def _payload_to_json(p: dict, name) -> dict:
             out[k] = [[list(ref), str(lam)] for ref, lam in v]
         elif k == "var":
             out[k] = name(v)
-        elif k == "column":
-            out[k] = v
         elif k in ("src", "def"):
             out[k] = list(v)
-        elif k == "evidence":
-            out[k] = [list(r) for r in v]
         else:
             out[k] = v
     return out
@@ -191,8 +186,6 @@ def _payload_from_json(p: dict, var_of) -> dict:
             out[k] = var_of(v)
         elif k in ("src", "def"):
             out[k] = tuple(v)
-        elif k == "evidence":
-            out[k] = [tuple(r) for r in v]
         else:
             out[k] = v
     return out
@@ -289,12 +282,15 @@ class _Replayer:
     # per-rule validation -----------------------------------------------------
 
     def run(self):
-        for idx, step in enumerate(self.log.steps):
-            if step.rule not in RULES:
-                raise InvalidStep(step.sid, f"unknown rule {step.rule!r}")
-            if step.sid in self.steps:
-                raise InvalidStep(step.sid, "duplicate step id")
-            getattr(self, "_v_" + step.rule.replace("-", "_"))(step)
+        for step in self.log.steps:
+            try:
+                if step.rule not in RULES:
+                    raise InvalidStep(step.sid, f"unknown rule {step.rule!r}")
+                if step.sid in self.steps:
+                    raise InvalidStep(step.sid, "duplicate step id")
+                getattr(self, "_v_" + step.rule.replace("-", "_"))(step)
+            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                raise InvalidStep(step.sid, f"malformed step: {exc!r}") from exc
             self.steps[step.sid] = step
         if self.log.verdict == NULL_ONLY and not self._closed(()):
             raise InvalidStep(-1, "verdict null-only but the case tree is not closed")
@@ -453,19 +449,6 @@ class _Replayer:
             self.fail(step, "evidence row does not mention the variable")
         other = b if a == x else a
         self._check_evidence(other, chain[1:], step)
-
-    def _v_product_nonzero_cancel(self, step: Step):
-        if step.conclusion[0] != "zero":
-            self.fail(step, "product-nonzero-cancel must conclude a zero fact")
-        y = step.conclusion[1]
-        row = self.row_of(step.premises[0], step)
-        if len(row) != 1:
-            self.fail(step, "premise is not a single product")
-        mono = next(iter(row))
-        if len(mono) != 2 or mono[0] == mono[1] or y not in mono:
-            self.fail(step, "premise is not a product of two distinct variables")
-        x = mono[0] if mono[1] == y else mono[1]
-        self._check_evidence(x, list(step.premises[1:]), step)
 
     def _mutex_pair_ok(self, ref: Ref, x: int, y: int, step: Step) -> None:
         """ref must witness that at most one of x, y is nonzero."""

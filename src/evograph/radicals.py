@@ -176,8 +176,14 @@ class Radical:
         for chunk in chunks[1:]:
             base, _, expo = chunk.partition("^")
             e = Fraction(expo.strip().strip("()"))
-            p = int(base)
-            exps[p] = exps.get(p, Fraction(0)) + e
+            b = int(base)
+            if b < 0 or (b == 0 and e <= 0):
+                raise ValueError(f"radical base {b} with exponent {e} in {text!r}")
+            if b == 0:
+                coeff = Fraction(0)
+                continue
+            for p, k in _factorize(b).items():
+                exps[p] = exps.get(p, Fraction(0)) + k * e
         c, parts = _normalize(coeff, exps)
         return Radical(c, parts)
 
@@ -254,6 +260,3 @@ class RadicalSum:
             return "0"
         return " + ".join(str(Radical(c, p)) for p, c in sorted(self.terms.items()))
 
-
-ZERO = RadicalSum()
-ONE = RadicalSum.from_rational(1)

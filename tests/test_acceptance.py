@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (or ``-s`` to see the
 summary lines inline).  Tolerances and budgets are pinned here and match
-the CLI ``paper`` command.
+the CLI ``paper`` command; the graph corpus is imported from
+``evograph.cli``, not copied.
 """
 
 import random
@@ -13,13 +14,17 @@ import numpy as np
 import pytest
 
 from evograph.algebra import build_rw_algebra
+from evograph.cli import (
+    ISO_INSTANCES,
+    NO_FALSE_CERT_INSTANCES,
+    NULL_ONLY_INSTANCES,
+    NUMERIC_NULL_INSTANCES,
+)
 from evograph.deduce import Budget, prove_null_only
-from evograph.exact import det_cofactor
 from evograph.graphs import (
     adjacency_matrix,
     bull_graph,
     caterpillar,
-    complete_bipartite,
     cycle_graph,
     generate_family,
     is_singular,
@@ -48,18 +53,6 @@ from evograph.search import (
 
 F = Fraction
 
-CERTIFY_INSTANCES = [
-    "cmn:2,2",
-    "cmn:2,3",
-    "cmn:3,2",
-    "cmn:3,3",
-    "caterpillar:1,2,2",
-    "caterpillar:1,2,2,2",
-    "tadpole:4,1",
-    "tadpole:4,3",
-    "bull",
-]
-
 
 def report(criterion: str, detail: str = ""):
     print(f"[PASS] {criterion}" + (f"  ({detail})" if detail else ""))
@@ -68,7 +61,7 @@ def report(criterion: str, detail: str = ""):
 @pytest.fixture(scope="module")
 def certified_logs():
     out = {}
-    for desc in CERTIFY_INSTANCES:
+    for desc in NULL_ONLY_INSTANCES:
         g = generate_family(desc)
         t0 = time.perf_counter()
         verdict = prove_null_only(g, Budget(max_depth=8))
@@ -127,17 +120,9 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_constructive_isomorphisms():
-    instances = [
-        cycle_graph(3),
-        cycle_graph(4),
-        cycle_graph(5),
-        cycle_graph(6),
-        star_graph(3),
-        star_graph(4),
-        complete_bipartite(2, 3),
-    ]
     start = time.perf_counter()
-    for g in instances:
+    for desc in ISO_INSTANCES:
+        g = generate_family(desc)
         cand = closed_form_iso(g)
         assert cand is not None
         assert is_isomorphism(g, cand)
@@ -161,16 +146,8 @@ def test_criterion_4_null_only_certifications(certified_logs):
 
 
 def test_criterion_5_no_false_certification():
-    witnesses = [
-        cycle_graph(3),
-        cycle_graph(4),
-        cycle_graph(5),
-        complete_bipartite(2, 3),
-        star_graph(4),
-        path_graph(2),
-    ]
-    for g in witnesses:
-        verdict = prove_null_only(g, Budget(max_depth=8))
+    for desc in NO_FALSE_CERT_INSTANCES:
+        verdict = prove_null_only(generate_family(desc), Budget(max_depth=8))
         assert verdict.kind != NULL_ONLY
     report("criterion 5: no false certification")
 
@@ -178,8 +155,8 @@ def test_criterion_5_no_false_certification():
 def test_criterion_6_numeric_corroboration():
     start = time.perf_counter()
     cfg = SearchConfig(restarts=200, seed=2024)
-    for g in [bull_graph(), caterpillar(2, 2), tadpole(4, 1)]:
-        out = find_homomorphism(g, cfg)
+    for desc in NUMERIC_NULL_INSTANCES:
+        out = find_homomorphism(generate_family(desc), cfg)
         # none-found means no surviving point had residual below 1e-10
         # while sitting outside the null basin (entry max-norm above 1e-6)
         assert out.kind == NONE_FOUND
@@ -222,7 +199,7 @@ def test_criterion_7_gradient_against_finite_differences():
     report("criterion 7: gradient vs finite differences", "50 seeded pairs")
 
 
-def test_criterion_8_singularity_classifications():
+def test_criterion_8_singularity_classifications(det_cofactor):
     start = time.perf_counter()
     expectations = [
         (bull_graph(), True),

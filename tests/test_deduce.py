@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from evograph.cli import NO_FALSE_CERT_INSTANCES, NULL_ONLY_INSTANCES
 from evograph.deduce import (
     Budget,
     DeductionState,
@@ -28,27 +29,6 @@ from evograph.prooflog import NULL_ONLY, replay_proof
 from evograph.radicals import Radical
 
 F = Fraction
-
-NULL_ONLY_INSTANCES = [
-    "cmn:2,2",
-    "cmn:2,3",
-    "cmn:3,2",
-    "cmn:3,3",
-    "caterpillar:1,2,2",
-    "caterpillar:1,2,2,2",
-    "tadpole:4,1",
-    "tadpole:4,3",
-    "bull",
-]
-
-NONZERO_HOM_INSTANCES = [
-    "cycle:3",
-    "cycle:4",
-    "cycle:5",
-    "complete_bipartite:2,3",
-    "star:4",
-    "path:2",
-]
 
 
 def fresh_state(g):
@@ -149,7 +129,7 @@ class TestCertification:
         res = replay_proof(derive_constraints(g), verdict.log)
         assert res, res.failure
 
-    @pytest.mark.parametrize("desc", NONZERO_HOM_INSTANCES)
+    @pytest.mark.parametrize("desc", NO_FALSE_CERT_INSTANCES)
     def test_never_certifies_when_nonzero_hom_exists(self, desc):
         g = generate_family(desc)
         verdict = prove_null_only(g)

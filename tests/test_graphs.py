@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evograph.exact import det_cofactor, rank
+from evograph.exact import rank
 from evograph.graphs import (
     Disconnected,
     DuplicateEdge,
@@ -27,6 +27,7 @@ from evograph.graphs import (
     tadpole,
     twin_partition,
 )
+
 
 T41_EDGES = [(1, 2), (2, 3), (1, 4), (3, 4), (4, 5)]
 T41_ADJ = [
@@ -100,14 +101,6 @@ class TestAdjacency:
         assert adjacency_matrix(build_graph(1, [])) == [[0]]
 
 
-def test_degree_profile():
-    from evograph.graphs import degree_profile
-
-    prof = degree_profile(bull_graph())
-    assert prof.deg == {1: 1, 2: 1, 3: 3, 4: 3, 5: 2}
-    assert prof.neighborhoods[5] == frozenset({3, 4})
-
-
 class TestTwins:
     def test_tadpole_cycle_twins(self):
         for m in (1, 2, 3):
@@ -177,14 +170,14 @@ class TestSingularity:
             (cycle_graph(5), False),
         ],
     )
-    def test_known_determinants(self, g, expect_singular):
+    def test_known_determinants(self, g, expect_singular, det_cofactor):
         res = is_singular(g)
         assert res.singular == expect_singular
         assert res.determinant == det_cofactor([list(r) for r in g.adj])
 
     @settings(max_examples=50, deadline=None)
     @given(connected_graphs(max_n=7))
-    def test_agrees_with_rank_deficiency(self, g):
+    def test_agrees_with_rank_deficiency(self, det_cofactor, g):
         res = is_singular(g)
         mat = [[Fraction(x) for x in row] for row in g.adj]
         assert res.singular == (rank(mat) < g.n)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from evograph.homsystem import derive_constraints
 from evograph.prooflog import (
     NULL_ONLY,
     RULES,
+    ProofLog,
     Step,
     dump_log,
     load_log,
@@ -89,8 +91,6 @@ def test_claimed_verdict_needs_a_closed_tree():
 def test_premises_must_exist():
     g = build_graph(2, [(1, 2)])
     sys = derive_constraints(g)
-    from evograph.prooflog import ProofLog
-
     rogue = ProofLog(
         steps=[
             Step(
@@ -127,3 +127,37 @@ def test_foreign_branch_facts_rejected(bull_proof):
         pytest.skip("log has no branch-local zero facts")
     bad = type(log)(steps=steps, verdict=log.verdict)
     assert not replay_proof(sys, bad)
+
+
+def test_rule_outside_engine_vocabulary_rejected():
+    sys = derive_constraints(build_graph(2, [(1, 2)]))
+    rogue = ProofLog(
+        steps=[
+            Step(
+                sid=0,
+                rule="product-nonzero-cancel",
+                branch=(),
+                premises=(("c", 0),),
+                conclusion=("zero", 0),
+            )
+        ]
+    )
+    res = replay_proof(sys, rogue)
+    assert not res and "unknown rule" in res.failure.reason
+
+
+@pytest.mark.parametrize("desc", ["bull", "cmn:2,2"])
+def test_emptied_premises_rejected_without_raising(desc):
+    g = generate_family(desc)
+    sys, log = derive_constraints(g), prove_null_only(g).log
+    first: dict[str, int] = {}
+    for idx, s in enumerate(log.steps):
+        # substitute names its rows in the payload, not in the premises
+        if s.premises and s.rule != "substitute":
+            first.setdefault(s.rule, idx)
+    assert {"branch-close", "single-monomial-zero", "square-sum-zero"} <= set(first)
+    for rule, idx in first.items():
+        steps = list(log.steps)
+        steps[idx] = dataclasses.replace(steps[idx], premises=())
+        res = replay_proof(sys, ProofLog(steps=steps, verdict=log.verdict))
+        assert not res and res.failure is not None, rule

@@ -66,6 +66,19 @@ def test_parse_round_trip(q):
     assert Radical.parse(str(r)) == r
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1*4^(1/3)", Radical.root(4, 3)), ("1*0^(1/2)", Radical.from_rational(0))],
+)
+def test_parse_canonicalizes(text, expected):
+    assert Radical.parse(text) == expected
+
+
+def test_parse_rejects_negative_base():
+    with pytest.raises(ValueError):
+        Radical.parse("1*-2^(1/3)")
+
+
 class TestRadicalSum:
     def test_cancellation(self):
         x = RadicalSum.from_radical(Radical.root(F(1, 4), 3))
