@@ -8,9 +8,14 @@ constraint row, a branch marker, or a contradiction.
 
 The replayer re-validates every step from scratch using only the rule
 named, the referenced premises and the graph, sharing no state with the
-engine that produced the log.  It finally checks that the case-split
+engine that produced the log.  The three premise-free leaf rules are
+checked against tables of admissible conclusions computed once from the
+graph.  A step's premises must be exactly the refs its check uses (as a
+set: a ref may repeat).  The replayer finally checks that the case-split
 tree is exhaustive (each split has both a "= 0" and a "!= 0" child) and
 that the claimed verdict follows.
+
+``load_log`` raises ``ValueError`` on any malformed input.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
-from .graphs import Graph
 from .homsystem import HomSystem
 from .radicals import Radical, RadicalSum
 
@@ -198,18 +202,21 @@ def load_log(text: str, sys: HomSystem) -> ProofLog:
         _, i, k = nm.split("_")
         return sys.var(int(i), int(k))
 
-    steps = [
-        Step(
-            sid=d["id"],
-            rule=d["rule"],
-            branch=tuple((var_of(v), sign == "nonzero") for v, sign in d["branch"]),
-            premises=tuple(tuple(r) for r in d["premises"]),
-            conclusion=_conclusion_from_json(d["conclusion"], var_of),
-            payload=_payload_from_json(d.get("payload", {}), var_of),
-        )
-        for d in data["steps"]
-    ]
-    return ProofLog(steps=steps, verdict=data["verdict"])
+    try:
+        steps = [
+            Step(
+                sid=d["id"],
+                rule=d["rule"],
+                branch=tuple((var_of(v), sign == "nonzero") for v, sign in d["branch"]),
+                premises=tuple(tuple(r) for r in d["premises"]),
+                conclusion=_conclusion_from_json(d["conclusion"], var_of),
+                payload=_payload_from_json(d.get("payload", {}), var_of),
+            )
+            for d in data["steps"]
+        ]
+        return ProofLog(steps=steps, verdict=data["verdict"])
+    except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed proof log: {exc!r}") from exc
 
 
 # -- replay -------------------------------------------------------------------
@@ -223,16 +230,51 @@ def replay_proof(sys: HomSystem, log: ProofLog) -> ReplayResult:
     return ReplayResult(True)
 
 
+def _is_zero(c: tuple) -> bool:
+    """A zero fact or a "= 0" assumption."""
+    return c[0] == "zero" or (c[0] == "assume" and c[2] is False)
+
+
+def _leaf_axioms(sys: HomSystem) -> dict[str, set[tuple]]:
+    """Admissible conclusions of the premise-free leaf rules, by rule.
+
+    A mutex is keyed by its frozenset of variables and a row by the
+    frozenset of its items, so each conclusion is one membership test.
+    """
+    g, var = sys.graph, sys.var
+    anchor = {l: next(iter(g.neighbors(l))) for l in g.leaves()}
+    mutex = {("mutex", frozenset(var(i, k) for i in g.vertices())) for k in anchor.values()}
+    twin_zero: set[tuple] = set()
+    cross: set[tuple] = set()
+    for l, kl in anchor.items():
+        for u, ku in anchor.items():
+            if not (l < u and ku == kl):
+                continue
+            twin_zero |= {("zero", var(i, k)) for i, k in ((l, kl), (u, kl), (kl, l), (kl, u))}
+            for w, kw in anchor.items():
+                if w in (l, u):
+                    continue
+                cross |= {("zero", var(i, k)) for i, k in ((u, kw), (l, kw), (kl, w))}
+                sq = (var(w, kl), var(w, kl))
+                for row in (
+                    {(var(kw, l),): 1, (var(kw, u),): -1},
+                    {sq: 1, (var(kw, l),): -1},
+                    {sq: 1, (var(kw, u),): -1},
+                ):
+                    cross.add(("row", frozenset(row.items())))
+    return {"leaf-mutex": mutex, "leaf-twin-zero": twin_zero, "leaf-twin-cross": cross}
+
+
 class _Replayer:
     def __init__(self, sys: HomSystem, log: ProofLog):
         self.sys = sys
-        self.g: Graph = sys.graph
         self.log = log
         self.steps: dict[int, Step] = {}
-        # validated artifacts
-        self.rows: dict[Ref, poly.Poly] = {}
-        for idx, c in enumerate(sys.constraints):
-            self.rows[("c", idx)] = c.p
+        self.axioms = _leaf_axioms(sys)
+        # case tree of the validated steps: closed paths, variables split at a path
+        self.closes: set[tuple[Literal, ...]] = set()
+        self.opens: dict[tuple[Literal, ...], set[int]] = {}
+        self.used: set[Ref] = set()  # refs read by the step being checked
 
     # helpers ---------------------------------------------------------------
 
@@ -240,6 +282,7 @@ class _Replayer:
         raise InvalidStep(step.sid, reason)
 
     def step_of(self, ref: Ref, step: Step) -> Step:
+        self.used.add(ref)
         if ref[0] != "s" or ref[1] not in self.steps:
             self.fail(step, f"premise {ref} is not an earlier step")
         prem = self.steps[ref[1]]
@@ -249,6 +292,7 @@ class _Replayer:
 
     def row_of(self, ref: Ref, step: Step) -> poly.Poly:
         if ref[0] == "c":
+            self.used.add(ref)
             if not (0 <= ref[1] < len(self.sys.constraints)):
                 self.fail(step, f"constraint index {ref[1]} out of range")
             return self.sys.constraints[ref[1]].p
@@ -260,98 +304,35 @@ class _Replayer:
     def fact_of(self, ref: Ref, step: Step) -> tuple:
         return self.step_of(ref, step).conclusion
 
-    def var_pair(self, v: int) -> tuple[int, int]:
-        return self.sys.var_pair(v)
-
-    # structural vocabulary ---------------------------------------------------
-
-    def _leaf_anchor(self, leaf: int) -> int | None:
-        if self.g.degree(leaf) != 1:
-            return None
-        return next(iter(self.g.neighbors(leaf)))
-
-    def _twin_leaf_pairs(self) -> list[tuple[int, int, int]]:
-        """(leaf, twin, shared anchor) with leaf < twin."""
-        out = []
-        for l in self.g.leaves():
-            for u in self.g.leaves():
-                if l < u and self.g.neighbors(l) == self.g.neighbors(u):
-                    out.append((l, u, self._leaf_anchor(l)))
-        return out
-
     # per-rule validation -----------------------------------------------------
 
     def run(self):
         for step in self.log.steps:
+            self.used = set()
             try:
                 if step.rule not in RULES:
                     raise InvalidStep(step.sid, f"unknown rule {step.rule!r}")
                 if step.sid in self.steps:
                     raise InvalidStep(step.sid, "duplicate step id")
                 getattr(self, "_v_" + step.rule.replace("-", "_"))(step)
-            except (IndexError, KeyError, TypeError, ValueError) as exc:
+                if set(step.premises) != self.used:
+                    raise InvalidStep(step.sid, "premises are not the refs the rule uses")
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise InvalidStep(step.sid, f"malformed step: {exc!r}") from exc
             self.steps[step.sid] = step
         if self.log.verdict == NULL_ONLY and not self._closed(()):
             raise InvalidStep(-1, "verdict null-only but the case tree is not closed")
 
-    def _v_leaf_mutex(self, step: Step):
-        if step.conclusion[0] != "mutex":
-            self.fail(step, "leaf-mutex must conclude a mutex fact")
-        vars_ = step.conclusion[1]
-        cols = {self.var_pair(v)[1] for v in vars_}
-        if len(cols) != 1:
-            self.fail(step, "mutex vars must share a column")
-        k = cols.pop()
-        if not any(self._leaf_anchor(l) == k for l in self.g.leaves()):
-            self.fail(step, f"column {k} is not a leaf anchor")
-        if {self.var_pair(v)[0] for v in vars_} != set(self.g.vertices()):
-            self.fail(step, "mutex must cover the whole column")
+    def _v_axiom(self, step: Step):
+        kind, arg = step.conclusion[0], step.conclusion[1]
+        if kind == "mutex":
+            arg = frozenset(arg)
+        elif kind == "row":
+            arg = frozenset(arg.items())
+        if (kind, arg) not in self.axioms[step.rule]:
+            self.fail(step, f"{kind} conclusion is not a {step.rule} axiom of the graph")
 
-    def _v_leaf_twin_zero(self, step: Step):
-        if step.conclusion[0] != "zero":
-            self.fail(step, "leaf-twin-zero must conclude a zero fact")
-        i, k = self.var_pair(step.conclusion[1])
-        for l, u, anchor in self._twin_leaf_pairs():
-            if {(l, anchor), (u, anchor), (anchor, l), (anchor, u)} & {(i, k)}:
-                return
-        self.fail(step, f"t_{i}_{k} is not covered by the twin-leaf rule")
-
-    def _v_leaf_twin_cross(self, step: Step):
-        pairs = self._twin_leaf_pairs()
-        leaves = self.g.leaves()
-        if step.conclusion[0] == "zero":
-            i, k = self.var_pair(step.conclusion[1])
-            for l, u, kl in pairs:
-                for w in leaves:
-                    if w in (l, u):
-                        continue
-                    kw = self._leaf_anchor(w)
-                    if (i, k) in {(u, kw), (l, kw), (kl, w)}:
-                        return
-            self.fail(step, f"t_{i}_{k} is not a twin-cross zero")
-        elif step.conclusion[0] == "row":
-            p = step.conclusion[1]
-            for l, u, kl in pairs:
-                for w in leaves:
-                    if w in (l, u):
-                        continue
-                    kw = self._leaf_anchor(w)
-                    var = self.sys.var
-                    eq = poly.poly_from_terms(
-                        [(Fraction(1), (var(kw, l),)), (Fraction(-1), (var(kw, u),))]
-                    )
-                    sq1 = poly.poly_from_terms(
-                        [(Fraction(1), (var(w, kl), var(w, kl))), (Fraction(-1), (var(kw, l),))]
-                    )
-                    sq2 = poly.poly_from_terms(
-                        [(Fraction(1), (var(w, kl), var(w, kl))), (Fraction(-1), (var(kw, u),))]
-                    )
-                    if p in (eq, sq1, sq2):
-                        return
-            self.fail(step, "row is not a twin-cross relation")
-        else:
-            self.fail(step, "leaf-twin-cross concludes a zero or a row")
+    _v_leaf_mutex = _v_leaf_twin_zero = _v_leaf_twin_cross = _v_axiom
 
     def _v_substitute(self, step: Step):
         if step.conclusion[0] != "row":
@@ -373,18 +354,13 @@ class _Replayer:
         else:
             self.fail(step, f"unknown substitute op {op!r}")
 
-    def _is_zero_fact(self, concl: tuple, v: int) -> bool:
-        if concl[0] == "zero" and concl[1] == v:
-            return True
-        return concl[0] == "assume" and concl[1] == v and concl[2] is False
-
     def _replacement(self, ref: Ref, v: int, step: Step) -> poly.Poly:
         """Affine replacement for v from a zero fact, rational value or affine row."""
         if ref[0] == "s":
             concl = self.steps.get(ref[1], None)
             if concl is not None and concl.conclusion[0] in ("zero", "assume"):
                 self.step_of(ref, step)
-                if not self._is_zero_fact(concl.conclusion, v):
+                if not (_is_zero(concl.conclusion) and concl.conclusion[1] == v):
                     self.fail(step, "premise does not set the variable to zero")
                 return {}
             if concl is not None and concl.conclusion[0] == "value":
@@ -420,35 +396,33 @@ class _Replayer:
         if set(mono) != {v}:
             self.fail(step, "monomial is not a power of the variable")
 
-    def _check_evidence(self, x: int, chain: list[Ref], step: Step):
+    def _check_evidence(self, x: int, chain: tuple[Ref, ...], step: Step):
         """Premise chain establishing x != 0."""
-        if not chain:
-            self.fail(step, "empty nonzero-evidence chain")
-        ref = chain[0]
-        if ref[0] == "s":
-            prem = self.step_of(ref, step)
-            if prem.conclusion[0] == "assume":
-                _, v, nz = prem.conclusion
-                if v == x and nz and (x, True) in step.branch:
+        for ref in chain:
+            if ref[0] == "s":
+                prem = self.step_of(ref, step)
+                if prem.conclusion[0] == "assume":
+                    _, v, nz = prem.conclusion
+                    if v == x and nz and (x, True) in step.branch:
+                        return
+                    self.fail(step, "assumption does not establish the variable nonzero")
+                if prem.conclusion[0] == "value":
+                    _, v, rad = prem.conclusion
+                    if v == x and not rad.is_zero:
+                        return
+                    self.fail(step, "value does not establish the variable nonzero")
+            row = self.row_of(ref, step)
+            shape = _two_monomial_shape(row)
+            if shape is None:
+                # positive square: c*x^2 + d with -d/c > 0
+                if set(row) == {(x, x), poly.CONST} and -row[poly.CONST] / row[(x, x)] > 0:
                     return
-                self.fail(step, "assumption does not establish the variable nonzero")
-            if prem.conclusion[0] == "value":
-                _, v, rad = prem.conclusion
-                if v == x and not rad.is_zero:
-                    return
-                self.fail(step, "value does not establish the variable nonzero")
-        row = self.row_of(ref, step)
-        shape = _two_monomial_shape(row)
-        if shape is None:
-            # positive square: c*x^2 + d with -d/c > 0
-            if set(row) == {(x, x), poly.CONST} and -row[poly.CONST] / row[(x, x)] > 0:
-                return
-            self.fail(step, "row is no nonzero evidence")
-        a, b = shape
-        if x not in (a, b):
-            self.fail(step, "evidence row does not mention the variable")
-        other = b if a == x else a
-        self._check_evidence(other, chain[1:], step)
+                self.fail(step, "row is no nonzero evidence")
+            a, b = shape
+            if x not in (a, b):
+                self.fail(step, "evidence row does not mention the variable")
+            x = b if a == x else a
+        self.fail(step, "nonzero-evidence chain ends without evidence")
 
     def _mutex_pair_ok(self, ref: Ref, x: int, y: int, step: Step) -> None:
         """ref must witness that at most one of x, y is nonzero."""
@@ -474,7 +448,7 @@ class _Replayer:
         if mode == "nonzero":
             x = step.payload["var"]
             self._mutex_pair_ok(step.premises[0], x, y, step)
-            self._check_evidence(x, list(step.premises[1:]), step)
+            self._check_evidence(x, step.premises[1:], step)
         elif mode == "pair":
             link = self.row_of(step.premises[1], step)
             shape = _two_monomial_shape(link)
@@ -492,13 +466,13 @@ class _Replayer:
             concl = self.fact_of(ref, step)
             if concl[0] == "value":
                 vals[concl[1]] = concl[2]
-            elif concl[0] == "zero" or (concl[0] == "assume" and concl[2] is False):
+            elif _is_zero(concl):
                 vals[concl[1]] = Radical.from_rational(0)
             else:
                 self.fail(step, f"premise {ref} is not a value or zero fact")
         return vals
 
-    def _eval_with(self, row: poly.Poly, vals: dict[int, Radical], step: Step):
+    def _eval_with(self, row: poly.Poly, vals: dict[int, Radical]):
         """Split row into (remaining poly, evaluated RadicalSum constant)."""
         rest: poly.Poly = {}
         const = RadicalSum()
@@ -521,7 +495,7 @@ class _Replayer:
             self.fail(step, "linear-solve must conclude a value or zero fact")
         row = self.row_of(step.premises[0], step)
         vals = self._values_from(step.premises[1:], step)
-        rest, const = self._eval_with(row, vals, step)
+        rest, const = self._eval_with(row, vals)
         if set(rest) == {(x, x)}:
             # c*x^2 plus terms summing to zero forces x = 0
             if const.is_zero and rad.is_zero:
@@ -546,7 +520,7 @@ class _Replayer:
             if set(row) != {(v, v), (v,)} or x != v:
                 self.fail(step, "row is not a*x^2 + b*x for the variable")
             want = Radical.from_rational(-row[(v,)] / row[(v, v)])
-            self._check_evidence(v, list(step.premises[1:]), step)
+            self._check_evidence(v, step.premises[1:], step)
         elif mode == "pair":
             r1 = self.row_of(step.premises[0], step)
             r2 = self.row_of(step.premises[1], step)
@@ -565,9 +539,7 @@ class _Replayer:
                 want = Radical.root(kappa * mu * mu, 3)
             else:
                 self.fail(step, "conclusion variable is not in the cycle")
-            self._check_evidence(
-                step.payload.get("witness", xa), list(step.premises[2:]), step
-            )
+            self._check_evidence(step.payload.get("witness", xa), step.premises[2:], step)
         else:
             self.fail(step, f"unknown quad-solve mode {mode!r}")
         if want != rad:
@@ -589,7 +561,7 @@ class _Replayer:
                 self.fail(step, "discriminant is not negative")
             return
         vals = self._values_from(step.premises[1:], step)
-        rest, const = self._eval_with(row, vals, step)
+        rest, const = self._eval_with(row, vals)
         if not rest or not _is_signed_square_sum(rest, strict=False):
             self.fail(step, "row is not a same-sign sum of squares")
         lead = next(iter(rest.values()))
@@ -606,7 +578,7 @@ class _Replayer:
         if mode == "eval":
             row = self.row_of(step.premises[0], step)
             vals = self._values_from(step.premises[1:], step)
-            rest, const = self._eval_with(row, vals, step)
+            rest, const = self._eval_with(row, vals)
             if rest or const.is_zero:
                 self.fail(step, "row does not evaluate to a nonzero constant")
         elif mode == "two-values":
@@ -616,10 +588,10 @@ class _Replayer:
                 self.fail(step, "premises are not conflicting values for one variable")
         elif mode == "zero-nonzero":
             z = self.fact_of(step.premises[0], step)
-            if not (z[0] == "zero" or (z[0] == "assume" and z[2] is False)):
+            if not _is_zero(z):
                 self.fail(step, "first premise must be a zero fact")
             x = z[1]
-            self._check_evidence(x, list(step.premises[1:]), step)
+            self._check_evidence(x, step.premises[1:], step)
         else:
             self.fail(step, f"unknown value-conflict mode {mode!r}")
 
@@ -630,12 +602,12 @@ class _Replayer:
         seen = set()
         for ref in step.premises:
             concl = self.fact_of(ref, step)
-            if not (concl[0] == "zero" or (concl[0] == "assume" and concl[2] is False)):
+            if not _is_zero(concl):
                 self.fail(step, "premises must be zero facts")
-            i, kk = self.var_pair(concl[1])
+            i, kk = self.sys.var_pair(concl[1])
             if kk == k:
                 seen.add(i)
-        if seen != set(self.g.vertices()):
+        if seen != set(self.sys.graph.vertices()):
             self.fail(step, f"column {k} is not entirely zero")
 
     def _v_branch_open(self, step: Step):
@@ -644,6 +616,7 @@ class _Replayer:
         _, v, nz = step.conclusion
         if not step.branch or step.branch[-1] != (v, nz):
             self.fail(step, "assumption must extend its own branch context")
+        self.opens.setdefault(step.branch[:-1], set()).add(v)
 
     def _v_branch_close(self, step: Step):
         if step.conclusion[0] != "closed":
@@ -656,31 +629,15 @@ class _Replayer:
             self.fail(step, "closure premise is not a null-map certificate")
         if how not in ("contradiction", "null"):
             self.fail(step, f"unknown closure kind {how!r}")
+        self.closes.add(step.branch)
 
     # case tree ---------------------------------------------------------------
 
-    def _closed(self, path: tuple[Literal, ...], _memo=None) -> bool:
-        if _memo is None:
-            _memo = {}
-        if path in _memo:
-            return _memo[path]
-        ok = any(
-            s.rule == "branch-close" and s.branch == path for s in self.log.steps
+    def _closed(self, path: tuple[Literal, ...]) -> bool:
+        return path in self.closes or any(
+            self._closed(path + ((v, False),)) and self._closed(path + ((v, True),))
+            for v in self.opens.get(path, ())
         )
-        if not ok:
-            opened = {
-                s.conclusion[1]
-                for s in self.log.steps
-                if s.rule == "branch-open" and s.branch[:-1] == path
-            }
-            for v in opened:
-                if self._closed(path + ((v, False),), _memo) and self._closed(
-                    path + ((v, True),), _memo
-                ):
-                    ok = True
-                    break
-        _memo[path] = ok
-        return ok
 
 
 def _is_signed_square_sum(p: poly.Poly, strict: bool) -> bool:

@@ -20,24 +20,136 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd, isqrt
 
 Parts = tuple[tuple[int, Fraction], ...]
 
 
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with _MR_BASES is exact below this bound (Sorenson & Webster 2015).
+_MR_EXACT = 3317044064679887385961981
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs here are small)."""
+    """Prime factorization, ascending: trial division by small primes, then
+    Pollard-Brent on the cofactor."""
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _brent(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES, plus a strong Lucas test above _MR_EXACT
+    (together the Baillie-PSW test)."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES if n < _MR_EXACT else (2,):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n, Selfridge parameters (P = 1)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:
+        return False
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n) // 2 if x % 2 else x // 2
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _brent(n: int) -> int:
+    """A proper factor of the composite n (Pollard's rho, Brent's cycle search)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _normalize(coeff: Fraction, exponents: dict[int, Fraction]) -> tuple[Fraction, Parts]:

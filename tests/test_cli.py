@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import evograph
 from evograph.cli import (
     AnalysisReport,
     InvalidRange,
@@ -14,11 +16,17 @@ from evograph.cli import (
 from evograph.graphs import generate_family, parse_edge_list
 
 
+# The child imports the same evograph as this process, installed or not.
+SRC = os.path.dirname(os.path.dirname(evograph.__file__))
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "evograph", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from evograph.cli import NULL_ONLY_INSTANCES
 from evograph.deduce import prove_null_only
 from evograph.graphs import build_graph, bull_graph, generate_family
 from evograph.homsystem import derive_constraints
@@ -148,16 +150,76 @@ def test_rule_outside_engine_vocabulary_rejected():
 
 @pytest.mark.parametrize("desc", ["bull", "cmn:2,2"])
 def test_emptied_premises_rejected_without_raising(desc):
+    """Premises must be exactly the refs a check uses: none missing, none extra."""
     g = generate_family(desc)
     sys, log = derive_constraints(g), prove_null_only(g).log
     first: dict[str, int] = {}
     for idx, s in enumerate(log.steps):
-        # substitute names its rows in the payload, not in the premises
-        if s.premises and s.rule != "substitute":
-            first.setdefault(s.rule, idx)
-    assert {"branch-close", "single-monomial-zero", "square-sum-zero"} <= set(first)
+        first.setdefault(s.rule, idx)
+    assert {"branch-close", "single-monomial-zero", "square-sum-zero", "substitute"} <= set(first)
     for rule, idx in first.items():
-        steps = list(log.steps)
-        steps[idx] = dataclasses.replace(steps[idx], premises=())
-        res = replay_proof(sys, ProofLog(steps=steps, verdict=log.verdict))
-        assert not res and res.failure is not None, rule
+        step = log.steps[idx]
+        extra = next(("c", i) for i in range(len(sys.constraints)) if ("c", i) not in step.premises)
+        for premises in [step.premises + (extra,)] + ([()] if step.premises else []):
+            steps = list(log.steps)
+            steps[idx] = dataclasses.replace(step, premises=premises)
+            res = replay_proof(sys, ProofLog(steps=steps, verdict=log.verdict))
+            assert not res and res.failure is not None, (rule, premises)
+
+
+def test_long_evidence_chain_rejected_without_raising():
+    # on K2, c0 = t_1_2*t_2_2 is a mutex witness and c2 = t_1_2^2 - t_2_1
+    # links t_1_2 and t_2_1 back and forth without proving either nonzero
+    sys = derive_constraints(build_graph(2, [(1, 2)]))
+    forged = Step(
+        sid=0,
+        rule="mutex-elim",
+        branch=(),
+        premises=(("c", 0),) + (("c", 2),) * 5000,
+        conclusion=("zero", 3),
+        payload={"mode": "nonzero", "var": 1},
+    )
+    res = replay_proof(sys, ProofLog(steps=[forged]))
+    assert not res and "chain" in res.failure.reason
+
+
+def _log_text(conclusion: dict) -> str:
+    step = {"id": 0, "rule": "leaf-twin-zero", "branch": [], "premises": [], "conclusion": conclusion}
+    return json.dumps({"verdict": "unknown", "steps": [step]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"verdict": "unknown", "steps": [{}]}',
+        _log_text({}),
+        "[]",
+        _log_text({"kind": "zero", "var": "t_x_1"}),
+        _log_text({"kind": "value", "var": "t_1_1", "scalar": "1/0"}),
+    ],
+    ids=["step-without-id", "conclusion-without-kind", "not-an-object", "bad-var-name", "zero-denominator"],
+)
+def test_load_log_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        load_log(text, derive_constraints(bull_graph()))
+
+
+# sha256 of dump_log on each corpus certificate: the engine's logs are pinned.
+LOG_SHA256 = {
+    "cmn:2,2": "96894a1e3b40fb6e6bbbc40ac6a0e8434b6bcb4c12195378de89f19cd8b66dd4",
+    "cmn:2,3": "7bfbeccf2b53a6e3f2f116749747b63aba1b22978c3b90a3f372cd9496adab3c",
+    "cmn:3,2": "53959b0c7f2bcfd424cc5eba7ba4d07c794c3a27638c929ca2059b438345b661",
+    "cmn:3,3": "0165760bce8af8c924ddce5c27266734b5ff0f6159ad77aacac78250e17d2d3a",
+    "caterpillar:1,2,2": "941b1253d155bc5fb8acb84daf8cc7faec6ea0609cec49b692cec3d20366ab40",
+    "caterpillar:1,2,2,2": "e95a81cf218397bdcb0c33649ed600efbda8d25344523c65f65574dc3da59005",
+    "tadpole:4,1": "44d1a168448c5f732c5bc4ffe72182c9ca58eccc1cec1672a16fbc4d8d6042bb",
+    "tadpole:4,3": "cb6f518268bc81b6226a3b352e857a7f0bdca71a3af25adccc2a61e878c4acd3",
+    "bull": "5b346d3e74fc985e9bec12dfc8f0052b747801c1d56f935982fab73c4eed0604",
+}
+
+
+@pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
+def test_corpus_proof_logs_byte_identical(desc):
+    g = generate_family(desc)
+    text = dump_log(prove_null_only(g).log, derive_constraints(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_SHA256[desc]

@@ -74,6 +74,13 @@ def test_parse_canonicalizes(text, expected):
     assert Radical.parse(text) == expected
 
 
+def test_root_factors_a_large_cofactor():
+    # trial division alone never reaches the 22-digit prime factor
+    primes = (41, 1093, 35817547837, 3811832244955903262249)
+    r = Radical.root(6118340569647801337063091456880672769, 2)
+    assert r.coeff == 1 and r.parts == tuple((p, F(1, 2)) for p in primes)
+
+
 def test_parse_rejects_negative_base():
     with pytest.raises(ValueError):
         Radical.parse("1*-2^(1/3)")
