@@ -6,11 +6,12 @@ Commands:
   prove    run the deduction engine and dump the proof log
   search   numeric search for a nonzero homomorphism
   paper    run the acceptance corpus and print pass/fail per instance
-  sweep    run a family range, one verdict row per instance (CSV/JSON)
+  sweep    analyze a family range, one row per instance (CSV/JSON)
   gen      write an edge-list file for a family
 
-Exit codes: 0 ok; 1 internal soundness tripwire; 2 input error;
-3 budget exhausted where a certification was required.
+Exit codes: 0 ok; 1 internal soundness tripwire (analyze, sweep) or a
+failed paper check; 2 input error; 3 budget exhausted where a
+certification was required.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def load_graph(spec: str) -> Graph:
 def analyze_graph(
     g: Graph,
     instance: str,
-    run_deduction: bool = True,
     run_numeric: bool = True,
     budget: Budget = Budget(),
     cfg: SearchConfig = SearchConfig(),
@@ -127,18 +127,17 @@ def analyze_graph(
         prediction_basis=basis,
     )
     report.closed_form = closed_form_iso(g) is not None
-    if run_deduction:
-        verdict = prove_null_only(g, budget)
-        report.verdict = verdict.kind
-        report.open_branches = verdict.open_branches
-        if prediction == PREDICT_ISO and verdict.kind == NULL_ONLY:
-            raise SoundnessTripwire(
-                f"{instance}: predicted isomorphic but certified null-only"
-            )
-        if verdict.kind == NULL_ONLY and log_out:
-            with open(log_out, "w") as fh:
-                fh.write(dump_log(verdict.log, derive_constraints(g)))
-            report.proof_log_path = log_out
+    verdict = prove_null_only(g, budget)
+    report.verdict = verdict.kind
+    report.open_branches = verdict.open_branches
+    if prediction == PREDICT_ISO and verdict.kind == NULL_ONLY:
+        raise SoundnessTripwire(
+            f"{instance}: predicted isomorphic but certified null-only"
+        )
+    if verdict.kind == NULL_ONLY and log_out:
+        with open(log_out, "w") as fh:
+            fh.write(dump_log(verdict.log, derive_constraints(g)))
+        report.proof_log_path = log_out
     if run_numeric:
         out = find_homomorphism(g, cfg)
         report.numeric = {
@@ -170,11 +169,10 @@ def _print_report(report: AnalysisReport):
     print(f"  prediction: {report.prediction} ({report.prediction_basis})")
     if report.closed_form:
         print("  closed-form isomorphism available")
-    if report.verdict:
-        extra = f", open branches {report.open_branches}" if report.open_branches else ""
-        print(f"  deduction verdict: {report.verdict}{extra}")
-        if report.proof_log_path:
-            print(f"  proof log: {report.proof_log_path}")
+    extra = f", open branches {report.open_branches}" if report.open_branches else ""
+    print(f"  deduction verdict: {report.verdict}{extra}")
+    if report.proof_log_path:
+        print(f"  proof log: {report.proof_log_path}")
     if report.numeric:
         num = report.numeric
         print(
@@ -394,24 +392,18 @@ def parse_sweep(spec: str) -> list[str]:
 
 def _sweep_row(inst: str, budget: Budget, cfg: SearchConfig, run_numeric: bool) -> dict:
     t0 = time.time()
-    g = generate_family(inst)
-    sing = is_singular(g)
-    reg = classify_regularity(g)
-    verdict = prove_null_only(g, budget)
-    best = float("nan")
-    outcome = "skipped"
-    if run_numeric:
-        out = find_homomorphism(g, cfg)
-        best = out.best_residual
-        outcome = out.kind
+    report = analyze_graph(
+        generate_family(inst), inst, run_numeric=run_numeric, budget=budget, cfg=cfg
+    )
+    numeric = report.numeric or {"outcome": "skipped", "best_residual": float("nan")}
     return {
         "instance": inst,
-        "n": g.n,
-        "singular": sing.singular,
-        "regularity": reg.kind,
-        "verdict": verdict.kind,
-        "numeric": outcome,
-        "best_residual": best,
+        "n": report.n,
+        "singular": report.singular,
+        "regularity": report.regularity["kind"],
+        "verdict": report.verdict,
+        "numeric": numeric["outcome"],
+        "best_residual": numeric["best_residual"],
         "runtime": round(time.time() - t0, 3),
     }
 
@@ -435,14 +427,18 @@ def cmd_sweep(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-def _add_common(p, numeric=True, depth=True):
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    if numeric:
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=200)
-        p.add_argument("--fast", action="store_true", help="skip numeric search")
-    if depth:
-        p.add_argument("--depth", type=int, default=8, help="case-split depth budget")
+_FLAGS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--seed": dict(type=int, default=0),
+    "--restarts": dict(type=int, default=200),
+    "--fast": dict(action="store_true", help="skip numeric search"),
+    "--depth": dict(type=int, default=8, help="case-split depth budget"),
+}
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for one graph")
     p.add_argument("graph", help="edge-list file or family descriptor, e.g. tadpole:4,1")
     p.add_argument("--log-out", help="write the proof log here when certified")
-    _add_common(p)
+    _add_flags(p, "--json", "--seed", "--restarts", "--fast", "--depth")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("derive", help="dump the constraint system as JSON")
@@ -465,22 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="run the deduction engine")
     p.add_argument("graph")
     p.add_argument("--log-out", help="write the proof log to this path")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--depth", type=int, default=8)
+    _add_flags(p, "--json", "--depth")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("search", help="numeric homomorphism search")
     p.add_argument("graph")
-    _add_common(p, depth=False)
+    _add_flags(p, "--json", "--seed", "--restarts")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("paper", help="run the acceptance corpus")
-    _add_common(p)
+    _add_flags(p, "--seed", "--restarts", "--fast", "--depth")
     p.set_defaults(func=cmd_paper)
 
     p = sub.add_parser("sweep", help="verdict table over a family range")
     p.add_argument("range", help='e.g. "tadpole:4,m for m in 1,3,5"')
-    _add_common(p)
+    _add_flags(p, "--json", "--seed", "--restarts", "--fast", "--depth")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="write an edge-list file for a family")
@@ -495,7 +490,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, GraphError, InvalidRange, FileNotFoundError) as exc:
+    except (GraphParseError, GraphError, InvalidRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SoundnessTripwire as exc:

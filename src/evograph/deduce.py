@@ -623,9 +623,9 @@ def _eval_partial(p: poly.Poly, vals: dict[int, Radical]):
 # -- public operations ------------------------------------------------------------
 
 
-def apply_leaf_rules(g: Graph, state: DeductionState) -> list[Ref]:
+def apply_leaf_rules(state: DeductionState) -> list[Ref]:
     """Column mutexes for leaf anchors; zeros for twin leaf pairs."""
-    sys = state.sys
+    sys, g = state.sys, state.sys.graph
     out: list[Ref] = []
     anchors_done = set()
     for leaf in sorted(g.leaves()):
@@ -647,9 +647,9 @@ def apply_leaf_rules(g: Graph, state: DeductionState) -> list[Ref]:
     return out
 
 
-def apply_leaf_twin_cross_rules(g: Graph, state: DeductionState) -> list[Ref]:
+def apply_leaf_twin_cross_rules(state: DeductionState) -> list[Ref]:
     """Relations between a twin pair of leaves and any third leaf."""
-    sys = state.sys
+    sys, g = state.sys, state.sys.graph
     out: list[Ref] = []
     leaves = sorted(g.leaves())
     pairs = [
@@ -689,7 +689,7 @@ def apply_leaf_twin_cross_rules(g: Graph, state: DeductionState) -> list[Ref]:
     return out
 
 
-def saturate(sys: HomSystem, state: DeductionState) -> DeductionState:
+def saturate(state: DeductionState) -> DeductionState:
     """Run the rewriting and scanning loop to a fixpoint (or contradiction)."""
     while not state.contradiction:
         if state.process_pending():
@@ -742,7 +742,7 @@ def _try_close_null(state: DeductionState) -> bool:
 
 
 def _explore(state: DeductionState, depth: int) -> bool:
-    saturate(state.sys, state)
+    saturate(state)
     if state.contradiction:
         _close_contradiction(state)
         return True
@@ -782,8 +782,8 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     shared = _Shared(sys, budget)
     root = DeductionState(shared)
     try:
-        apply_leaf_rules(g, root)
-        apply_leaf_twin_cross_rules(g, root)
+        apply_leaf_rules(root)
+        apply_leaf_twin_cross_rules(root)
         for idx in range(len(sys.constraints)):
             root.enqueue(("c", idx), sys.constraints[idx].p)
         closed = _explore(root, 0)
@@ -793,7 +793,7 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     if closed:
         shared.log.verdict = NULL_ONLY
         return Verdict(NULL_ONLY, shared.log)
-    witness = _extract_witness(g, shared)
+    witness = _extract_witness(shared)
     if witness is not None:
         shared.log.verdict = FOUND_STRUCTURE
         return Verdict(
@@ -813,7 +813,7 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     )
 
 
-def _extract_witness(g: Graph, shared: _Shared) -> HomCandidate | None:
+def _extract_witness(shared: _Shared) -> HomCandidate | None:
     """A fully valued open leaf with no live rows is a candidate solution."""
     n = shared.sys.n
     for leaf in shared.open_leaves:
@@ -839,6 +839,6 @@ def _extract_witness(g: Graph, shared: _Shared) -> HomCandidate | None:
             entries.append(tuple(row))
         if complete and ok:
             cand = HomCandidate(tuple(entries))
-            if is_homomorphism_direct(g, cand):
+            if is_homomorphism_direct(shared.sys.graph, cand):
                 return cand
     return None

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import det_bareiss
-
 
 class GraphError(ValueError):
     """Base class for graph construction and parsing failures."""
@@ -220,6 +218,35 @@ def classify_regularity(g: Graph) -> RegularityClass:
             k1, k2, part1, part2 = k2, k1, part2, part1
         return RegularityClass("biregular", k1=k1, k2=k2, part1=part1, part2=part2)
     return RegularityClass("neither")
+
+
+def det_bareiss(rows: list[list[int]]) -> int:
+    """Integer determinant by Bareiss fraction-free elimination.
+
+    All intermediate values stay integral (divisions are exact), so the
+    result is exact for arbitrary-precision inputs.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def is_singular(g: Graph) -> SingularityResult:

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import poly
 from .algebra import DimensionMismatch, Element, _scalar_is_zero, build_adjacency_algebra, build_rw_algebra, multiply
-from .exact import rank
 from .graphs import Graph
 from .radicals import RadicalSum
 
@@ -86,9 +85,6 @@ class HomCandidate:
     def max_abs(self) -> float:
         return max((abs(float(x)) for row in self.entries for x in row), default=0.0)
 
-    def is_rational(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for row in self.entries for x in row)
-
 
 def derive_constraints(g: Graph) -> HomSystem:
     """Emit the full constraint system in deterministic order.
@@ -133,7 +129,7 @@ def residual(sys: HomSystem, T: HomCandidate) -> ResidualReport:
     flat = [x for row in T.entries for x in row]
     coerce = any(isinstance(x, RadicalSum) for x in flat)
     if coerce:
-        flat = [x if isinstance(x, RadicalSum) else RadicalSum.from_rational(x) for x in flat]
+        flat = [_coerce_radical(x) for x in flat]
     values = tuple(poly.evaluate(c.p, flat.__getitem__) for c in sys.constraints)
     norm = max((abs(float(v)) for v in values), default=0.0)
     return ResidualReport(values, norm)
@@ -181,38 +177,33 @@ def is_homomorphism_direct(g: Graph, T: HomCandidate) -> bool:
 
 def is_isomorphism(g: Graph, T: HomCandidate) -> bool:
     """Homomorphism (by the direct oracle) with full exact rank."""
-    if not is_homomorphism_direct(g, T):
-        return False
-    if T.is_rational():
-        mat = [[Fraction(x) for x in row] for row in T.entries]
-        return rank(mat) == g.n
-    return _rank_radical(T) == g.n
+    return is_homomorphism_direct(g, T) and rank(T.entries) == g.n
 
 
-def _rank_radical(T: HomCandidate) -> int:
-    """Exact rank for matrices over radical sums.
+def rank(rows) -> int:
+    """Exact rank of a matrix over radical sums (rational entries are coerced).
 
     Elimination divides only by single-term pivots (those have exact
-    inverses); every candidate produced by the closed-form constructions
-    is diagonal, so a suitable pivot always exists there.
+    inverses).  Every nonzero rational is a single term, and every
+    candidate produced by the closed-form constructions is diagonal, so
+    a suitable pivot always exists there.
     """
-    n = T.n
-    m = [[_coerce_radical(x) for x in row] for row in T.entries]
+    m = [[_coerce_radical(x) for x in row] for row in rows]
     r = 0
-    for c in range(n):
+    for c in range(len(m[0]) if m else 0):
         piv = None
-        for i in range(r, n):
+        for i in range(r, len(m)):
             if not m[i][c].is_zero and m[i][c].is_single_term():
                 piv = i
                 break
         if piv is None:
-            if any(not m[i][c].is_zero for i in range(r, n)):
+            if any(not m[i][c].is_zero for i in range(r, len(m))):
                 raise ValueError("cannot pick an invertible radical pivot")
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = RadicalSum.from_radical(m[r][c].as_radical().inverse())
         m[r] = [x * inv for x in m[r]]
-        for i in range(n):
+        for i in range(len(m)):
             if i != r and not m[i][c].is_zero:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]

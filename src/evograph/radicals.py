@@ -34,7 +34,7 @@ _MR_EXACT = 3317044064679887385961981
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization, ascending: trial division by small primes, then
-    Pollard-Brent on the cofactor."""
+    exact roots of perfect powers and Pollard-Brent on the cofactor."""
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
@@ -49,10 +49,29 @@ def _factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
+        elif power := _perfect_power(m):
+            root, k = power
+            stack += [root] * k
         else:
             f = _brent(m)
             stack += [f, m // f]
     return dict(sorted(out.items()))
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m for a prime k, if m is a perfect power.
+
+    Pollard-Brent needs about sqrt(p) steps to split p**k, so perfect
+    powers are split by exact integer roots first."""
+    for k in _SMALL_PRIMES:
+        if k > m.bit_length():
+            break
+        r = 1 << -(-m.bit_length() // k)  # above the k-th root; Newton descends
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r, k
+    return None
 
 
 def _is_prime(n: int) -> bool:

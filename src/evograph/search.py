@@ -36,20 +36,20 @@ CANDIDATE = "candidate"
 VERIFIED_HOM = "verified-hom"
 
 
+MAX_ITERATIONS = 500  # damped least-squares steps per restart
+TOL_RESIDUAL = 1e-10  # residual max-norm below which a point is reconstructed
+TOL_NULL = 1e-6  # entry max-norm below which a point is the null map
+INIT_SCALE = 1.5  # starts are uniform in [-INIT_SCALE, INIT_SCALE]
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 200
-    max_iterations: int = 500
-    tol_residual: float = 1e-10
-    tol_null: float = 1e-6
-    init_scale: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.tol_residual < self.tol_null:
-            raise ValueError("residual tolerance must be below the null threshold")
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     """Multistart damped least-squares search with exact post-verification.
 
     Converged points inside the null basin (entry max-norm below
-    ``tol_null``) are discarded.  The best surviving point with residual
-    max-norm below ``tol_residual`` is reconstructed entrywise and, if
+    ``TOL_NULL``) are discarded.  The best surviving point with residual
+    max-norm below ``TOL_RESIDUAL`` is reconstructed entrywise and, if
     that succeeds, verified exactly; outcomes rank
     verified-hom > candidate > none-found, ties by lowest restart index.
     """
@@ -211,9 +211,9 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     rng = np.random.default_rng(cfg.seed)
     best: tuple[float, int, np.ndarray] | None = None  # residual, restart, point
     for idx in range(cfg.restarts):
-        x0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=sys.num_vars)
-        x = _lm_minimize(comp, x0, cfg.max_iterations)
-        if np.max(np.abs(x)) < cfg.tol_null:
+        x0 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=sys.num_vars)
+        x = _lm_minimize(comp, x0, MAX_ITERATIONS)
+        if np.max(np.abs(x)) < TOL_NULL:
             continue
         res = float(np.max(np.abs(comp.residual_vec(x))))
         if best is None or res < best[0]:
@@ -224,7 +224,7 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     T_float = HomCandidate.from_rows(
         [[float(x[i * sys.n + k]) for k in range(sys.n)] for i in range(sys.n)]
     )
-    if res < cfg.tol_residual and g.n > 1:  # no random-walk algebra on one vertex
+    if res < TOL_RESIDUAL and g.n > 1:  # no random-walk algebra on one vertex
         exact = _reconstruct_matrix(x, sys.n)
         if exact is not None and exact.max_abs() > 0 and is_homomorphism_direct(g, exact):
             iso = is_isomorphism(g, exact)
@@ -240,7 +240,7 @@ def closed_form_iso(g: Graph) -> HomCandidate | None:
     double-checks the float residual before returning.
     """
     reg = classify_regularity(g)
-    if reg.is_neither:
+    if reg.is_neither or reg.k == 0:  # no random-walk algebra on one vertex
         return None
     if reg.is_regular:
         cand = HomCandidate.scaled_identity(g.n, Fraction(1, reg.k))

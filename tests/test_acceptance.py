@@ -43,6 +43,7 @@ from evograph.prooflog import NULL_ONLY, Step, replay_proof
 from evograph.radicals import Radical
 from evograph.search import (
     NONE_FOUND,
+    TOL_RESIDUAL,
     VERIFIED_HOM,
     SearchConfig,
     _CompiledSystem,
@@ -160,7 +161,7 @@ def test_criterion_6_numeric_corroboration():
         # none-found means no surviving point had residual below 1e-10
         # while sitting outside the null basin (entry max-norm above 1e-6)
         assert out.kind == NONE_FOUND
-        assert out.best_residual > cfg.tol_residual
+        assert out.best_residual > TOL_RESIDUAL
     out = find_homomorphism(cycle_graph(4), cfg)
     assert out.kind == VERIFIED_HOM and out.isomorphism
     assert residual(derive_constraints(cycle_graph(4)), out.exact).is_exact_zero()

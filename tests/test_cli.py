@@ -6,14 +6,19 @@ import sys
 import pytest
 
 import evograph
+from evograph import cli
 from evograph.cli import (
     AnalysisReport,
     InvalidRange,
+    _predict,
     analyze_graph,
     load_graph,
+    main,
     parse_sweep,
 )
-from evograph.graphs import generate_family, parse_edge_list
+from evograph.deduce import Verdict
+from evograph.graphs import classify_regularity, generate_family, is_singular, parse_edge_list
+from evograph.prooflog import NULL_ONLY, ProofLog
 
 
 # The child imports the same evograph as this process, installed or not.
@@ -79,10 +84,8 @@ class TestReports:
             "path:4": ("null-only", "regularity-criterion"),  # non-singular, neither
         }
         for desc, (pred, basis) in cases.items():
-            report = analyze_graph(
-                generate_family(desc), desc, run_deduction=False, run_numeric=False
-            )
-            assert (report.prediction, report.prediction_basis) == (pred, basis), desc
+            g = generate_family(desc)
+            assert _predict(is_singular(g).singular, classify_regularity(g)) == (pred, basis), desc
 
     def test_prediction_never_contradicts_verdict(self):
         for desc in ["bull", "cycle:4", "cmn:2,2", "path:2", "path:4", "tadpole:4,1"]:
@@ -103,6 +106,14 @@ class TestCommands:
     def test_analyze_rejects_bad_input(self):
         code, _, err = run_cli("analyze", "tadpole:九")
         assert code == 2 and "error" in err
+
+    def test_analyze_rejects_unreadable_path(self, tmp_path):
+        code, _, err = run_cli("analyze", str(tmp_path))
+        assert code == 2 and "error" in err and "Traceback" not in err
+
+    def test_analyze_single_vertex(self):
+        code, out, _ = run_cli("analyze", "path:1", "--fast")
+        assert code == 0 and "regular of degree 0" in out
 
     def test_analyze_rejects_disconnected_file(self, tmp_path):
         bad = tmp_path / "two_pieces.txt"
@@ -149,6 +160,19 @@ class TestCommands:
         rows = json.loads(out)
         assert [r["instance"] for r in rows] == ["tadpole:4,1", "tadpole:4,3"]
         assert all(r["verdict"] == "null-only" for r in rows)
+
+    def test_sweep_trips_on_forged_certificate(self, monkeypatch, capsys):
+        forged = Verdict(NULL_ONLY, ProofLog(verdict=NULL_ONLY))
+        monkeypatch.setattr(cli, "prove_null_only", lambda g, budget: forged)
+        assert main(["analyze", "cycle:4", "--fast"]) == 1
+        assert main(["sweep", "cycle:4", "--fast"]) == 1
+        assert "soundness" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["search", "bull", "--fast"], ["paper", "--json"]])
+    def test_unread_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_sweep_empty_range_ok(self):
         code, out, _ = run_cli("sweep", "", "--fast", "--json")

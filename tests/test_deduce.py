@@ -41,7 +41,7 @@ class TestLeafRules:
     def test_bull_anchor_mutexes(self):
         g = bull_graph()
         sys, state = fresh_state(g)
-        apply_leaf_rules(g, state)
+        apply_leaf_rules(state)
         cols = set()
         for group, _ in state.mutex_groups:
             cols.add({sys.var_pair(v)[1] for v in group}.pop())
@@ -51,7 +51,7 @@ class TestLeafRules:
     def test_twin_leaf_zeros_on_diameter_three_tree(self):
         g = caterpillar(2, 2)  # leaves 3,4 on vertex 1; 5,6 on vertex 2
         sys, state = fresh_state(g)
-        apply_leaf_rules(g, state)
+        apply_leaf_rules(state)
         expected = set()
         for leaf, anchor in [(3, 1), (4, 1), (5, 2), (6, 2)]:
             expected |= {sys.var(leaf, anchor), sys.var(anchor, leaf)}
@@ -61,7 +61,7 @@ class TestLeafRules:
         # both endpoints are leaves but their neighbourhoods differ
         g = path_graph(2)
         sys, state = fresh_state(g)
-        apply_leaf_rules(g, state)
+        apply_leaf_rules(state)
         assert len(state.mutex_groups) == 2
         assert not state.zeros
 
@@ -70,8 +70,8 @@ class TestCrossRules:
     def test_cross_zeros_on_diameter_three_tree(self):
         g = caterpillar(2, 2)
         sys, state = fresh_state(g)
-        apply_leaf_rules(g, state)
-        apply_leaf_twin_cross_rules(g, state)
+        apply_leaf_rules(state)
+        apply_leaf_twin_cross_rules(state)
         # pendants of one spine vertex are zero against the other spine vertex
         for v in (3, 4):
             assert sys.var(v, 2) in state.zeros
@@ -83,9 +83,9 @@ class TestCrossRules:
     def test_bull_produces_nothing(self):
         g = bull_graph()
         sys, state = fresh_state(g)
-        apply_leaf_rules(g, state)
+        apply_leaf_rules(state)
         n_before = len(state.zeros)
-        refs = apply_leaf_twin_cross_rules(g, state)
+        refs = apply_leaf_twin_cross_rules(state)
         assert refs == [] and len(state.zeros) == n_before
 
 
@@ -112,11 +112,11 @@ class TestSaturate:
         ]
         for g in corpus:
             sys, state = fresh_state(g)
-            apply_leaf_rules(g, state)
-            apply_leaf_twin_cross_rules(g, state)
+            apply_leaf_rules(state)
+            apply_leaf_twin_cross_rules(state)
             for i in range(len(sys.constraints)):
                 state.enqueue(("c", i), sys.constraints[i].p)
-            saturate(sys, state)  # must reach a fixpoint within budget
+            saturate(state)  # must reach a fixpoint within budget
             assert not state.pending and not state.dirty
 
 

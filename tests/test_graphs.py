@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evograph.exact import rank
 from evograph.graphs import (
     Disconnected,
     DuplicateEdge,
@@ -27,6 +26,7 @@ from evograph.graphs import (
     tadpole,
     twin_partition,
 )
+from evograph.homsystem import rank
 
 
 T41_EDGES = [(1, 2), (2, 3), (1, 4), (3, 4), (4, 5)]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,17 @@ def _log_text(conclusion: dict) -> str:
 def test_load_log_rejects_malformed_input(text):
     with pytest.raises(ValueError):
         load_log(text, derive_constraints(bull_graph()))
+
+
+def test_forged_perfect_power_base_loads_quickly(bull_proof):
+    _, sys, log = bull_proof
+    payload = json.loads(dump_log(log, sys))
+    step = next(s for s in payload["steps"] if s["conclusion"]["kind"] == "zero")
+    scalar = f"1*{(2**61 - 1) ** 2}^(1/2)"
+    step["conclusion"] = {"kind": "value", "var": step["conclusion"]["var"], "scalar": scalar}
+    start = time.perf_counter()
+    res = replay_proof(sys, load_log(json.dumps(payload), sys))
+    assert not res and time.perf_counter() - start < 1.0
 
 
 # sha256 of dump_log on each corpus certificate: the engine's logs are pinned.

@@ -81,6 +81,11 @@ def test_root_factors_a_large_cofactor():
     assert r.coeff == 1 and r.parts == tuple((p, F(1, 2)) for p in primes)
 
 
+def test_root_of_a_large_prime_square():
+    # Pollard-Brent alone needs about 2**30 steps to split this square
+    assert Radical.root((2**61 - 1) ** 2, 2) == Radical.from_rational(2**61 - 1)
+
+
 def test_parse_rejects_negative_base():
     with pytest.raises(ValueError):
         Radical.parse("1*-2^(1/3)")
