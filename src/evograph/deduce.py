@@ -18,7 +18,9 @@ mutex groups, nonzero assumptions).  Saturation interleaves
 
 until a fixpoint.  Case splitting (x = 0 versus x != 0) closes a branch
 on an outright contradiction or when some column is entirely zero, in
-which case connectivity forces the null map.  Every derivation is
+which case connectivity forces the null map.  A contradiction raises
+``Contradiction`` at the step that derives it and closes its branch at
+once: nothing after it is logged in that branch.  Every derivation is
 logged; the replayer in prooflog.py re-validates logs independently.
 
 Soundness is the contract: a "null-only" verdict is issued only when
@@ -31,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import poly
 from .graphs import Graph
@@ -58,14 +61,21 @@ class BudgetExhausted(Exception):
     pass
 
 
+class Contradiction(Exception):
+    """The branch derived a contradiction; ``ref`` is the step that says so."""
+
+    def __init__(self, ref: Ref):
+        super().__init__(ref)
+        self.ref = ref
+
+
 class _Shared:
-    """Log and step counter shared across all branches."""
+    """Log shared across all branches."""
 
     def __init__(self, sys: HomSystem, budget: Budget):
         self.sys = sys
         self.budget = budget
         self.log = ProofLog()
-        self.next_sid = 0
         self.open_leaves: list["DeductionState"] = []
         self.depth_cut = False
 
@@ -85,7 +95,6 @@ class DeductionState:
         self.pair_mutex: dict[frozenset, Ref] = {}
         self.pending: deque = deque()
         self.dirty: set[int] = set()
-        self.contradiction: Ref | None = None
 
     @property
     def sys(self) -> HomSystem:
@@ -102,74 +111,51 @@ class DeductionState:
         c.pair_mutex = dict(self.pair_mutex)
         c.pending = deque(self.pending)
         c.dirty = set(self.dirty)
-        c.contradiction = self.contradiction
         return c
 
     # -- logging --------------------------------------------------------------
 
     def emit(self, rule: str, premises, conclusion, payload=None) -> Ref:
         sh = self.shared
-        if sh.next_sid >= sh.budget.max_steps:
+        sid = len(sh.log.steps)
+        if sid >= sh.budget.max_steps:
             raise BudgetExhausted()
         step = Step(
-            sid=sh.next_sid,
+            sid=sid,
             rule=rule,
             branch=self.branch,
             premises=tuple(premises),
             conclusion=conclusion,
             payload=payload or {},
         )
-        sh.next_sid += 1
         return sh.log.append(step)
+
+    def contradict(self, rule: str, premises, payload=None) -> NoReturn:
+        """Log a contradiction and end the branch by raising ``Contradiction``."""
+        raise Contradiction(self.emit(rule, premises, ("contradiction",), payload))
 
     # -- fact registration ------------------------------------------------------
 
     def add_zero(self, v: int, ref: Ref):
-        if self.contradiction or v in self.zeros:
+        if v in self.zeros:
             return
         self.zeros[v] = ref
         if v in self.nonzero:
-            cref = self.emit(
-                "value-conflict",
-                [ref, self.nonzero[v]],
-                ("contradiction",),
-                {"mode": "zero-nonzero"},
-            )
-            self.contradiction = cref
-            return
+            self.contradict("value-conflict", [ref, self.nonzero[v]], {"mode": "zero-nonzero"})
         if v in self.values and not self.values[v][0].is_zero:
-            cref = self.emit(
-                "value-conflict",
-                [ref, self.values[v][1]],
-                ("contradiction",),
-                {"mode": "zero-nonzero"},
-            )
-            self.contradiction = cref
-            return
+            self.contradict("value-conflict", [ref, self.values[v][1]], {"mode": "zero-nonzero"})
         self.dirty.add(v)
 
     def add_value(self, v: int, rad: Radical, ref: Ref):
-        if self.contradiction:
-            return
         if rad.is_zero:
             self.add_zero(v, ref)
             return
         if v in self.zeros:
-            cref = self.emit(
-                "value-conflict",
-                [self.zeros[v], ref],
-                ("contradiction",),
-                {"mode": "zero-nonzero"},
-            )
-            self.contradiction = cref
-            return
+            self.contradict("value-conflict", [self.zeros[v], ref], {"mode": "zero-nonzero"})
         if v in self.values:
             old, oref = self.values[v]
             if old != rad:
-                cref = self.emit(
-                    "value-conflict", [oref, ref], ("contradiction",), {"mode": "two-values"}
-                )
-                self.contradiction = cref
+                self.contradict("value-conflict", [oref, ref], {"mode": "two-values"})
             return
         self.values[v] = (rad, ref)
         if rad.is_rational:
@@ -195,19 +181,22 @@ class DeductionState:
             if target is None:
                 return ref, p
             if target in self.zeros:
-                dref = self.zeros[target]
-                repl: poly.Poly = {}
+                ref, p = self._subst(ref, p, target, self.zeros[target], {})
             else:
                 rad, dref = self.values[target]
                 c = rad.as_rational()
-                repl = {poly.CONST: c} if c else {}
-            p = poly.substitute_var(p, target, repl)
-            ref = self.emit(
-                "substitute",
-                [ref, dref],
-                ("row", p),
-                {"op": "subst", "src": ref, "var": target, "def": dref},
-            )
+                ref, p = self._subst(ref, p, target, dref, {poly.CONST: c} if c else {})
+
+    def _subst(self, ref: Ref, p: poly.Poly, v: int, dref: Ref, repl: poly.Poly):
+        """Replace v by repl in p, justified by the fact or affine row dref."""
+        np = poly.substitute_var(p, v, repl)
+        nref = self.emit(
+            "substitute",
+            [ref, dref],
+            ("row", np),
+            {"op": "subst", "src": ref, "var": v, "def": dref},
+        )
+        return nref, np
 
     def _reduce(self, ref: Ref, p: poly.Poly):
         """Full reduction against the basis; one lincomb step if it changed."""
@@ -233,18 +222,6 @@ class DeductionState:
         )
         return nref, cur
 
-    def _affine_substitute(self, ref: Ref, p: poly.Poly, v: int, dref: Ref, dpoly: poly.Poly):
-        c = dpoly[(v,)]
-        repl = {m: -cc / c for m, cc in dpoly.items() if m != (v,)}
-        np = poly.substitute_var(p, v, repl)
-        nref = self.emit(
-            "substitute",
-            [ref, dref],
-            ("row", np),
-            {"op": "subst", "src": ref, "var": v, "def": dref},
-        )
-        return nref, np
-
     def _remove_row(self, ref: Ref):
         p = self.rows.pop(ref, None)
         if p is None:
@@ -256,7 +233,7 @@ class DeductionState:
 
     def process_pending(self) -> bool:
         worked = False
-        while self.pending and not self.contradiction:
+        while self.pending:
             ref, p = self.pending.popleft()
             worked = True
             self._pipeline(ref, p)
@@ -265,7 +242,7 @@ class DeductionState:
     def _pipeline(self, ref: Ref, p: poly.Poly):
         ref, p = self._substitute_facts(ref, p)
         # quadratic occurrences of affine-determined variables
-        while not self.contradiction:
+        while True:
             quad_vars = sorted(
                 {
                     v
@@ -279,10 +256,11 @@ class DeductionState:
                 break
             v = quad_vars[0]
             dref = self.basis[(v,)]
-            ref, p = self._affine_substitute(ref, p, v, dref, self.rows[dref])
+            dpoly = self.rows[dref]
+            c = dpoly[(v,)]
+            repl = {m: -cc / c for m, cc in dpoly.items() if m != (v,)}
+            ref, p = self._subst(ref, p, v, dref, repl)
             ref, p = self._substitute_facts(ref, p)
-        if self.contradiction:
-            return
         res = self._reduce(ref, p)
         if res[0] is None:
             return
@@ -290,13 +268,8 @@ class DeductionState:
         if not p:
             return
         if set(p) == {poly.CONST}:
-            self.contradiction = self.emit(
-                "value-conflict", [ref], ("contradiction",), {"mode": "eval"}
-            )
-            return
+            self.contradict("value-conflict", [ref], {"mode": "eval"})
         self._shape_rules(ref, p)
-        if self.contradiction:
-            return
         self._insert(ref, p)
 
     def _insert(self, ref: Ref, p: poly.Poly):
@@ -316,15 +289,10 @@ class DeductionState:
                 {"op": "lincomb", "parts": [(r, Fraction(1)), (ref, lam)]},
             )
             if set(nq) == {poly.CONST}:
-                self.contradiction = self.emit(
-                    "value-conflict", [nref], ("contradiction",), {"mode": "eval"}
-                )
-                return
+                self.contradict("value-conflict", [nref], {"mode": "eval"})
             self.rows[nref] = nq
             self.basis[poly.leading_mono(nq)] = nref
             self._shape_rules(nref, nq)
-            if self.contradiction:
-                return
         self.rows[ref] = p
         self.basis[lead] = ref
         if len(lead) == 1:
@@ -359,12 +327,8 @@ class DeductionState:
                     for m in sorted(nconst):
                         zref = self.emit("square-sum-zero", [ref], ("zero", m[0]))
                         self.add_zero(m[0], zref)
-                        if self.contradiction:
-                            return
                 elif (cst > 0) == signs.pop():
-                    self.contradiction = self.emit(
-                        "negative-square", [ref], ("contradiction",)
-                    )
+                    self.contradict("negative-square", [ref])
             return
         # univariate quadratic with negative discriminant
         pvars = poly.poly_vars(p)
@@ -374,13 +338,11 @@ class DeductionState:
             b = p.get((v,), Fraction(0))
             c = p[poly.CONST]
             if a and b * b - 4 * a * c < 0:
-                self.contradiction = self.emit(
-                    "negative-square", [ref], ("contradiction",), {"mode": "discriminant"}
-                )
+                self.contradict("negative-square", [ref], {"mode": "discriminant"})
 
     # -- multi-row scans ------------------------------------------------------------
 
-    def _nonzero_closure(self) -> dict[int, list[Ref]]:
+    def _nonzero_closure(self, links) -> dict[int, list[Ref]]:
         chains: dict[int, list[Ref]] = {}
         for v, ref in sorted(self.nonzero.items()):
             chains[v] = [ref]
@@ -393,11 +355,6 @@ class DeductionState:
                 sq = [m for m in p if len(m) == 2 and m[0] == m[1]]
                 if len(sq) == 1 and -p[poly.CONST] / p[sq[0]] > 0:
                     chains.setdefault(sq[0][0], [ref])
-        links = []
-        for ref in sorted(self.rows):
-            shape = _two_univariate(self.rows[ref])
-            if shape:
-                links.append((ref, shape))
         changed = True
         while changed:
             changed = False
@@ -411,14 +368,18 @@ class DeductionState:
         return chains
 
     def run_scans(self) -> bool:
-        before = self.shared.next_sid
-        chains = self._nonzero_closure()
-        self._scan_mutex(chains)
-        if not self.contradiction:
-            self._scan_square_cycles(chains)
-        if not self.contradiction:
-            self._scan_radical_rows()
-        return self.shared.next_sid > before or bool(self.pending) or bool(self.dirty)
+        before = len(self.shared.log.steps)
+        # rows linking two variables; the mutex scan changes facts only, not rows
+        links = []
+        for ref in sorted(self.rows):
+            shape = _two_univariate(self.rows[ref])
+            if shape:
+                links.append((ref, shape))
+        chains = self._nonzero_closure(links)
+        self._scan_mutex(chains, links)
+        self._scan_square_cycles(chains)
+        self._scan_radical_rows()
+        return len(self.shared.log.steps) > before or bool(self.pending) or bool(self.dirty)
 
     def _mutex_pairs_all(self):
         pairs = dict(self.pair_mutex)
@@ -429,11 +390,9 @@ class DeductionState:
                     pairs.setdefault(frozenset((a, b)), ref)
         return pairs
 
-    def _scan_mutex(self, chains):
+    def _scan_mutex(self, chains, links):
         pairs = self._mutex_pairs_all()
         for key in sorted(pairs, key=sorted):
-            if self.contradiction:
-                return
             mref = pairs[key]
             x, y = sorted(key)
             for a, b in ((x, y), (y, x)):
@@ -446,13 +405,7 @@ class DeductionState:
                     )
                     self.add_zero(b, zref)
         # pair shapes: a linking two-monomial row zeroes both members
-        links = [(r, _two_univariate(self.rows[r])) for r in sorted(self.rows)]
-        for ref, shape in links:
-            if self.contradiction:
-                return
-            if not shape:
-                continue
-            x, y = shape
+        for ref, (x, y) in links:
             mref = pairs.get(frozenset((x, y)))
             if mref is None or ref == mref:
                 continue
@@ -462,14 +415,10 @@ class DeductionState:
                         "mutex-elim", [mref, ref], ("zero", v), {"mode": "pair"}
                     )
                     self.add_zero(v, zref)
-                    if self.contradiction:
-                        return
 
     def _scan_square_cycles(self, chains):
         # single rows a*x^2 + b*x with x known nonzero
         for ref in sorted(self.rows):
-            if self.contradiction:
-                return
             p = self.rows[ref]
             pv = poly.poly_vars(p)
             if len(pv) == 1 and len(p) == 2:
@@ -491,8 +440,6 @@ class DeductionState:
                 x, y, kappa = s
                 shapes.setdefault((x, y), (ref, kappa))
         for (x, y), (r1, kappa) in sorted(shapes.items()):
-            if self.contradiction:
-                return
             if x == y or (y, x) not in shapes:
                 continue
             r2, mu = shapes[(y, x)]
@@ -508,8 +455,6 @@ class DeductionState:
                     {"mode": "pair", "var": x, "witness": witness},
                 )
                 self.add_value(x, val, vref)
-                if self.contradiction:
-                    return
             if y not in self.values:
                 # from y's side the cycle reads y^2 = mu*x, x^2 = kappa*y
                 val = Radical.root(kappa * mu * mu, 3)
@@ -524,8 +469,6 @@ class DeductionState:
     def _scan_radical_rows(self):
         """Rows whose variables are (almost) all pinned to radical values."""
         for ref in sorted(self.rows):
-            if self.contradiction:
-                return
             p = self.rows[ref]
             unknown = [v for v in sorted(poly.poly_vars(p)) if v not in self.values]
             valued = [v for v in sorted(poly.poly_vars(p)) if v in self.values]
@@ -537,11 +480,8 @@ class DeductionState:
                 if rest:
                     continue
                 if not const.is_zero:
-                    self.contradiction = self.emit(
-                        "value-conflict", [ref] + vrefs, ("contradiction",), {"mode": "eval"}
-                    )
-                else:
-                    self._remove_row(ref)
+                    self.contradict("value-conflict", [ref] + vrefs, {"mode": "eval"})
+                self._remove_row(ref)
                 continue
             if len(unknown) != 1:
                 continue
@@ -562,14 +502,12 @@ class DeductionState:
             elif set(rest) == {(x, x)} and const.is_single_term():
                 want = (-const).as_radical() / Radical.from_rational(rest[(x, x)])
                 if want.coeff < 0:
-                    self.contradiction = self.emit(
-                        "negative-square", [ref] + vrefs, ("contradiction",)
-                    )
+                    self.contradict("negative-square", [ref] + vrefs)
 
     # -- dirty-variable rewrites -----------------------------------------------------
 
     def flush_dirty(self) -> bool:
-        if not self.dirty or self.contradiction:
+        if not self.dirty:
             return False
         dirty, self.dirty = self.dirty, set()
         affected = sorted(
@@ -690,14 +628,12 @@ def apply_leaf_twin_cross_rules(state: DeductionState) -> list[Ref]:
 
 
 def saturate(state: DeductionState) -> DeductionState:
-    """Run the rewriting and scanning loop to a fixpoint (or contradiction)."""
-    while not state.contradiction:
-        if state.process_pending():
-            continue
-        if state.flush_dirty():
-            continue
-        if not state.run_scans():
-            break
+    """Run the rewriting and scanning loop to a fixpoint.
+
+    Raises ``Contradiction`` when the branch derives one.
+    """
+    while state.process_pending() or state.flush_dirty() or state.run_scans():
+        pass
     return state
 
 
@@ -726,10 +662,6 @@ def _pick_branch_var(state: DeductionState) -> int | None:
     return min(v for v, c in counts.items() if c == best)
 
 
-def _close_contradiction(state: DeductionState):
-    state.emit("branch-close", [state.contradiction], ("closed", "contradiction"))
-
-
 def _try_close_null(state: DeductionState) -> bool:
     k = _zero_column(state)
     if k is None:
@@ -742,9 +674,10 @@ def _try_close_null(state: DeductionState) -> bool:
 
 
 def _explore(state: DeductionState, depth: int) -> bool:
-    saturate(state)
-    if state.contradiction:
-        _close_contradiction(state)
+    try:
+        saturate(state)
+    except Contradiction as exc:
+        state.emit("branch-close", [exc.ref], ("closed", "contradiction"))
         return True
     if _try_close_null(state):
         return True
@@ -761,6 +694,7 @@ def _explore(state: DeductionState, depth: int) -> bool:
         child = state.clone()
         child.branch = state.branch + ((v, nz),)
         aref = child.emit("branch-open", [], ("assume", v, nz))
+        # cannot raise Contradiction: _pick_branch_var skips variables with a fact
         if nz:
             child.nonzero[v] = aref
         else:
@@ -782,6 +716,8 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     shared = _Shared(sys, budget)
     root = DeductionState(shared)
     try:
+        # the leaf rules add only zeros, and the root has no nonzero fact to
+        # conflict with, so nothing here raises Contradiction
         apply_leaf_rules(root)
         apply_leaf_twin_cross_rules(root)
         for idx in range(len(sys.constraints)):

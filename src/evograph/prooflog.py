@@ -196,13 +196,14 @@ def _payload_from_json(p: dict, var_of) -> dict:
 
 
 def load_log(text: str, sys: HomSystem) -> ProofLog:
-    data = json.loads(text)
+    # a variable is named exactly as the system names it, t_i_k with i, k in 1..n
+    names = {sys.var_name(v): v for v in range(sys.num_vars)}
 
     def var_of(nm: str) -> int:
-        _, i, k = nm.split("_")
-        return sys.var(int(i), int(k))
+        return names[nm]
 
     try:
+        data = json.loads(text)
         steps = [
             Step(
                 sid=d["id"],
@@ -215,7 +216,9 @@ def load_log(text: str, sys: HomSystem) -> ProofLog:
             for d in data["steps"]
         ]
         return ProofLog(steps=steps, verdict=data["verdict"])
-    except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, IndexError, KeyError, RecursionError, TypeError, ZeroDivisionError
+    ) as exc:
         raise ValueError(f"malformed proof log: {exc!r}") from exc
 
 
@@ -634,10 +637,15 @@ class _Replayer:
     # case tree ---------------------------------------------------------------
 
     def _closed(self, path: tuple[Literal, ...]) -> bool:
-        return path in self.closes or any(
-            self._closed(path + ((v, False),)) and self._closed(path + ((v, True),))
-            for v in self.opens.get(path, ())
-        )
+        """Decided bottom-up, deepest splits first, so a deep tree cannot overflow."""
+        closed = set(self.closes)
+        for split in sorted(self.opens, key=len, reverse=True):
+            if any(
+                split + ((v, False),) in closed and split + ((v, True),) in closed
+                for v in self.opens[split]
+            ):
+                closed.add(split)
+        return path in closed
 
 
 def _is_signed_square_sum(p: poly.Poly, strict: bool) -> bool:

@@ -149,6 +149,19 @@ class TestCertification:
             (s.sid, s.rule, s.conclusion) for s in b.log.steps
         ]
 
+    @pytest.mark.parametrize("desc", ["cycle:4", "star:3", "complete_bipartite:2,3"])
+    def test_contradiction_ends_its_branch(self, desc):
+        # the next step closes the branch on that contradiction, nothing between
+        steps = prove_null_only(generate_family(desc)).log.steps
+        ends = [(s, nxt) for s, nxt in zip(steps, steps[1:]) if s.conclusion == ("contradiction",)]
+        assert ends and steps[-1].conclusion != ("contradiction",)
+        offending = [
+            s.sid
+            for s, nxt in ends
+            if (nxt.rule, nxt.branch, nxt.premises) != ("branch-close", s.branch, (("s", s.sid),))
+        ]
+        assert not offending
+
     def test_bull_closes_with_case_splits(self):
         # inner branches close through their children, so there are fewer
         # close steps than open steps but every leaf path ends in one

@@ -184,6 +184,19 @@ def test_long_evidence_chain_rejected_without_raising():
     assert not res and "chain" in res.failure.reason
 
 
+def test_deep_case_tree_rejected_without_raising():
+    # 3000 nested "= 0" assumptions with no closure: the tree is open
+    sys = derive_constraints(bull_graph())
+    branch, steps = (), []
+    for sid in range(3000):
+        branch += ((0, False),)
+        steps.append(
+            Step(sid=sid, rule="branch-open", branch=branch, premises=(), conclusion=("assume", 0, False))
+        )
+    res = replay_proof(sys, ProofLog(steps=steps, verdict=NULL_ONLY))
+    assert not res and "not closed" in res.failure.reason
+
+
 def _log_text(conclusion: dict) -> str:
     step = {"id": 0, "rule": "leaf-twin-zero", "branch": [], "premises": [], "conclusion": conclusion}
     return json.dumps({"verdict": "unknown", "steps": [step]})
@@ -197,8 +210,20 @@ def _log_text(conclusion: dict) -> str:
         "[]",
         _log_text({"kind": "zero", "var": "t_x_1"}),
         _log_text({"kind": "value", "var": "t_1_1", "scalar": "1/0"}),
+        "[" * 100_000 + "]" * 100_000,
+        _log_text({"kind": "zero", "var": "t_0_6"}),
+        _log_text({"kind": "zero", "var": "t_1_99"}),
     ],
-    ids=["step-without-id", "conclusion-without-kind", "not-an-object", "bad-var-name", "zero-denominator"],
+    ids=[
+        "step-without-id",
+        "conclusion-without-kind",
+        "not-an-object",
+        "bad-var-name",
+        "zero-denominator",
+        "deep-nesting",
+        "var-index-zero",
+        "var-index-above-n",
+    ],
 )
 def test_load_log_rejects_malformed_input(text):
     with pytest.raises(ValueError):
