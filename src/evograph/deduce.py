@@ -142,21 +142,17 @@ class DeductionState:
         self.zeros[v] = ref
         if v in self.nonzero:
             self.contradict("value-conflict", [ref, self.nonzero[v]], {"mode": "zero-nonzero"})
-        if v in self.values and not self.values[v][0].is_zero:
+        if v in self.values:
             self.contradict("value-conflict", [ref, self.values[v][1]], {"mode": "zero-nonzero"})
         self.dirty.add(v)
 
     def add_value(self, v: int, rad: Radical, ref: Ref):
+        """Record v = rad; every caller first checks that v has no value yet."""
         if rad.is_zero:
             self.add_zero(v, ref)
             return
         if v in self.zeros:
             self.contradict("value-conflict", [self.zeros[v], ref], {"mode": "zero-nonzero"})
-        if v in self.values:
-            old, oref = self.values[v]
-            if old != rad:
-                self.contradict("value-conflict", [oref, ref], {"mode": "two-values"})
-            return
         self.values[v] = (rad, ref)
         if rad.is_rational:
             self.dirty.add(v)

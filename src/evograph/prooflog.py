@@ -1,21 +1,27 @@
 """Replayable proof logs for the deduction engine.
 
-A proof log is an ordered list of steps.  Each step names a rule from a
-fixed vocabulary, points at its premises (original constraints or
-earlier steps), records the branch context (the stack of case-split
-assumptions in force), and states one conclusion: a fact, a derived
-constraint row, a branch marker, or a contradiction.
+A proof log is an ordered list of steps.  Each step names a rule,
+points at its premises (original constraints or earlier steps), records
+the branch context (the stack of case-split assumptions in force), and
+states one conclusion: a fact, a derived constraint row, a branch
+marker, or a contradiction.
 
 The replayer re-validates every step from scratch using only the rule
 named, the referenced premises and the graph, sharing no state with the
-engine that produced the log.  The three premise-free leaf rules are
-checked against tables of admissible conclusions computed once from the
-graph.  A step's premises must be exactly the refs its check uses (as a
-set: a ref may repeat).  The replayer finally checks that the case-split
-tree is exhaustive (each split has both a "= 0" and a "!= 0" child) and
-that the claimed verdict follows.
+engine that produced the log.  Everything it accepts is declared once,
+in ``CHECKS``: a step's rule and mode (the payload's "op" for
+``substitute``, its "mode" otherwise, ``None`` when absent) select the
+conclusion kinds the step may state and the check that validates it,
+and a pair not in the table is rejected.  The three premise-free leaf
+rules are checked against tables of admissible conclusions computed once
+from the graph.  A step's premises must be exactly the refs its check
+uses (as a set: a ref may repeat).  The replayer finally checks that the
+case-split tree is exhaustive (each split has both a "= 0" and a "!= 0"
+child) and that the claimed verdict follows.
 
-``load_log`` raises ``ValueError`` on any malformed input.
+``load_log`` raises ``ValueError`` on any malformed input and on a log
+recorded for another graph.  Coefficients are written and read as exact
+decimal text of any length.
 """
 
 from __future__ import annotations
@@ -26,26 +32,7 @@ from fractions import Fraction
 
 from . import poly
 from .homsystem import HomSystem
-from .radicals import Radical, RadicalSum
-
-RULES = frozenset(
-    {
-        "leaf-mutex",
-        "leaf-twin-zero",
-        "leaf-twin-cross",
-        "substitute",
-        "square-sum-zero",
-        "single-monomial-zero",
-        "mutex-elim",
-        "linear-solve",
-        "quad-solve-nonzero",
-        "negative-square",
-        "value-conflict",
-        "column-zero-propagate",
-        "branch-open",
-        "branch-close",
-    }
-)
+from .radicals import Radical, RadicalSum, fraction_str, parse_fraction
 
 Ref = tuple[str, int]  # ("c", constraint index) or ("s", step id)
 Literal = tuple[int, bool]  # (var, assumed_nonzero)
@@ -97,14 +84,14 @@ class ReplayResult:
 
 def _poly_to_json(p: poly.Poly, name) -> list:
     return [
-        {"coeff": str(c), "monomial": [name(v) for v in m]}
+        {"coeff": fraction_str(c), "monomial": [name(v) for v in m]}
         for m, c in sorted(p.items(), key=lambda kv: poly.mono_key(kv[0]))
     ]
 
 
 def _poly_from_json(terms: list, var_of) -> poly.Poly:
     return poly.poly_from_terms(
-        (Fraction(t["coeff"]), tuple(var_of(x) for x in t["monomial"])) for t in terms
+        (parse_fraction(t["coeff"]), tuple(var_of(x) for x in t["monomial"])) for t in terms
     )
 
 
@@ -171,7 +158,7 @@ def _payload_to_json(p: dict, name) -> dict:
     out = {}
     for k, v in p.items():
         if k == "parts":
-            out[k] = [[list(ref), str(lam)] for ref, lam in v]
+            out[k] = [[list(ref), fraction_str(lam)] for ref, lam in v]
         elif k == "var":
             out[k] = name(v)
         elif k in ("src", "def"):
@@ -185,7 +172,7 @@ def _payload_from_json(p: dict, var_of) -> dict:
     out = {}
     for k, v in p.items():
         if k == "parts":
-            out[k] = [(tuple(ref), Fraction(lam)) for ref, lam in v]
+            out[k] = [(tuple(ref), parse_fraction(lam)) for ref, lam in v]
         elif k == "var":
             out[k] = var_of(v)
         elif k in ("src", "def"):
@@ -215,11 +202,15 @@ def load_log(text: str, sys: HomSystem) -> ProofLog:
             )
             for d in data["steps"]
         ]
-        return ProofLog(steps=steps, verdict=data["verdict"])
+        graph = (data["n"], data["edges"])
+        log = ProofLog(steps=steps, verdict=data["verdict"])
     except (
         AttributeError, IndexError, KeyError, RecursionError, TypeError, ZeroDivisionError
     ) as exc:
         raise ValueError(f"malformed proof log: {exc!r}") from exc
+    if graph != (sys.n, [list(e) for e in sys.graph.edges()]):
+        raise ValueError("the proof log was recorded for another graph")
+    return log
 
 
 # -- replay -------------------------------------------------------------------
@@ -279,45 +270,19 @@ class _Replayer:
         self.opens: dict[tuple[Literal, ...], set[int]] = {}
         self.used: set[Ref] = set()  # refs read by the step being checked
 
-    # helpers ---------------------------------------------------------------
-
-    def fail(self, step: Step, reason: str):
-        raise InvalidStep(step.sid, reason)
-
-    def step_of(self, ref: Ref, step: Step) -> Step:
-        self.used.add(ref)
-        if ref[0] != "s" or ref[1] not in self.steps:
-            self.fail(step, f"premise {ref} is not an earlier step")
-        prem = self.steps[ref[1]]
-        if prem.branch != step.branch[: len(prem.branch)]:
-            self.fail(step, f"premise {ref} comes from a different branch")
-        return prem
-
-    def row_of(self, ref: Ref, step: Step) -> poly.Poly:
-        if ref[0] == "c":
-            self.used.add(ref)
-            if not (0 <= ref[1] < len(self.sys.constraints)):
-                self.fail(step, f"constraint index {ref[1]} out of range")
-            return self.sys.constraints[ref[1]].p
-        prem = self.step_of(ref, step)
-        if prem.conclusion[0] != "row":
-            self.fail(step, f"premise {ref} is not a constraint row")
-        return prem.conclusion[1]
-
-    def fact_of(self, ref: Ref, step: Step) -> tuple:
-        return self.step_of(ref, step).conclusion
-
-    # per-rule validation -----------------------------------------------------
-
     def run(self):
         for step in self.log.steps:
             self.used = set()
             try:
-                if step.rule not in RULES:
-                    raise InvalidStep(step.sid, f"unknown rule {step.rule!r}")
+                mode = step.payload.get("op" if step.rule == "substitute" else "mode")
+                if (step.rule, mode) not in CHECKS:
+                    raise InvalidStep(step.sid, f"unknown rule {step.rule!r} with mode {mode!r}")
+                kinds, check = CHECKS[step.rule, mode]
                 if step.sid in self.steps:
                     raise InvalidStep(step.sid, "duplicate step id")
-                getattr(self, "_v_" + step.rule.replace("-", "_"))(step)
+                if step.conclusion[0] not in kinds:
+                    raise InvalidStep(step.sid, f"{step.rule} cannot conclude {step.conclusion[0]!r}")
+                check(self, step)
                 if set(step.premises) != self.used:
                     raise InvalidStep(step.sid, "premises are not the refs the rule uses")
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -326,95 +291,65 @@ class _Replayer:
         if self.log.verdict == NULL_ONLY and not self._closed(()):
             raise InvalidStep(-1, "verdict null-only but the case tree is not closed")
 
-    def _v_axiom(self, step: Step):
-        kind, arg = step.conclusion[0], step.conclusion[1]
-        if kind == "mutex":
-            arg = frozenset(arg)
-        elif kind == "row":
-            arg = frozenset(arg.items())
-        if (kind, arg) not in self.axioms[step.rule]:
-            self.fail(step, f"{kind} conclusion is not a {step.rule} axiom of the graph")
+    # premises ----------------------------------------------------------------
 
-    _v_leaf_mutex = _v_leaf_twin_zero = _v_leaf_twin_cross = _v_axiom
+    def fail(self, step: Step, reason: str):
+        raise InvalidStep(step.sid, reason)
 
-    def _v_substitute(self, step: Step):
-        if step.conclusion[0] != "row":
-            self.fail(step, "substitute must conclude a row")
-        target = step.conclusion[1]
-        op = step.payload.get("op")
-        if op == "lincomb":
-            acc: poly.Poly = {}
-            for ref, lam in step.payload["parts"]:
-                acc = poly.add_scaled(acc, self.row_of(ref, step), lam)
-            if acc != target:
-                self.fail(step, "linear combination does not reproduce the row")
-        elif op == "subst":
-            src = self.row_of(step.payload["src"], step)
-            v = step.payload["var"]
-            repl = self._replacement(step.payload["def"], v, step)
-            if poly.substitute_var(src, v, repl) != target:
-                self.fail(step, "substitution does not reproduce the row")
-        else:
-            self.fail(step, f"unknown substitute op {op!r}")
+    def premise(self, ref: Ref, step: Step) -> tuple:
+        """The conclusion ref establishes for step; constraint i reads as ("row", p)."""
+        self.used.add(ref)
+        if ref[0] == "c":
+            if not (0 <= ref[1] < len(self.sys.constraints)):
+                self.fail(step, f"constraint index {ref[1]} out of range")
+            return ("row", self.sys.constraints[ref[1]].p)
+        if ref[0] != "s" or ref[1] not in self.steps:
+            self.fail(step, f"premise {ref} is not an earlier step")
+        prem = self.steps[ref[1]]
+        if prem.branch != step.branch[: len(prem.branch)]:
+            self.fail(step, f"premise {ref} comes from a different branch")
+        return prem.conclusion
+
+    def row_of(self, ref: Ref, step: Step) -> poly.Poly:
+        concl = self.premise(ref, step)
+        if concl[0] != "row":
+            self.fail(step, f"premise {ref} is not a constraint row")
+        return concl[1]
 
     def _replacement(self, ref: Ref, v: int, step: Step) -> poly.Poly:
         """Affine replacement for v from a zero fact, rational value or affine row."""
-        if ref[0] == "s":
-            concl = self.steps.get(ref[1], None)
-            if concl is not None and concl.conclusion[0] in ("zero", "assume"):
-                self.step_of(ref, step)
-                if not (_is_zero(concl.conclusion) and concl.conclusion[1] == v):
-                    self.fail(step, "premise does not set the variable to zero")
-                return {}
-            if concl is not None and concl.conclusion[0] == "value":
-                self.step_of(ref, step)
-                _, vv, rad = concl.conclusion
-                if vv != v or not rad.is_rational:
-                    self.fail(step, "value fact unusable as affine replacement")
-                return {poly.CONST: rad.as_rational()} if rad.coeff else {}
-        row = self.row_of(ref, step)
-        if any(len(m) > 1 for m in row) or (v,) not in row:
-            self.fail(step, "definition row is not affine in the variable")
-        c = row[(v,)]
-        return {m: -cc / c for m, cc in row.items() if m != (v,)}
-
-    def _v_square_sum_zero(self, step: Step):
-        if step.conclusion[0] != "zero":
-            self.fail(step, "square-sum-zero must conclude a zero fact")
-        v = step.conclusion[1]
-        row = self.row_of(step.premises[0], step)
-        if not row or not _is_signed_square_sum(row, strict=True):
-            self.fail(step, "premise is not a same-sign sum of squares")
-        if (v, v) not in row:
-            self.fail(step, "variable does not occur squared in the premise")
-
-    def _v_single_monomial_zero(self, step: Step):
-        if step.conclusion[0] != "zero":
-            self.fail(step, "single-monomial-zero must conclude a zero fact")
-        v = step.conclusion[1]
-        row = self.row_of(step.premises[0], step)
-        if len(row) != 1:
-            self.fail(step, "premise row is not a single monomial")
-        mono = next(iter(row))
-        if set(mono) != {v}:
-            self.fail(step, "monomial is not a power of the variable")
+        concl = self.premise(ref, step)
+        if concl[0] == "value":
+            _, vv, rad = concl
+            if vv != v or not rad.is_rational:
+                self.fail(step, "value fact unusable as affine replacement")
+            return {poly.CONST: rad.as_rational()} if rad.coeff else {}
+        if concl[0] == "row":
+            row = concl[1]
+            if any(len(m) > 1 for m in row) or (v,) not in row:
+                self.fail(step, "definition row is not affine in the variable")
+            return {m: -c / row[(v,)] for m, c in row.items() if m != (v,)}
+        if not (_is_zero(concl) and concl[1] == v):
+            self.fail(step, "premise does not set the variable to zero")
+        return {}
 
     def _check_evidence(self, x: int, chain: tuple[Ref, ...], step: Step):
         """Premise chain establishing x != 0."""
         for ref in chain:
-            if ref[0] == "s":
-                prem = self.step_of(ref, step)
-                if prem.conclusion[0] == "assume":
-                    _, v, nz = prem.conclusion
-                    if v == x and nz and (x, True) in step.branch:
-                        return
-                    self.fail(step, "assumption does not establish the variable nonzero")
-                if prem.conclusion[0] == "value":
-                    _, v, rad = prem.conclusion
-                    if v == x and not rad.is_zero:
-                        return
-                    self.fail(step, "value does not establish the variable nonzero")
-            row = self.row_of(ref, step)
+            concl = self.premise(ref, step)
+            if concl[0] == "assume":
+                _, v, nz = concl
+                if v == x and nz and (x, True) in step.branch:
+                    return
+                self.fail(step, "assumption does not establish the variable nonzero")
+            if concl[0] == "value":
+                _, v, rad = concl
+                if v == x and not rad.is_zero:
+                    return
+                self.fail(step, "value does not establish the variable nonzero")
+            if concl[0] != "row":
+                self.fail(step, f"premise {ref} is no nonzero evidence")
+            row = concl[1]
             shape = _two_monomial_shape(row)
             if shape is None:
                 # positive square: c*x^2 + d with -d/c > 0
@@ -429,44 +364,21 @@ class _Replayer:
 
     def _mutex_pair_ok(self, ref: Ref, x: int, y: int, step: Step) -> None:
         """ref must witness that at most one of x, y is nonzero."""
-        if ref[0] == "s":
-            prem = self.steps.get(ref[1])
-            if prem is not None and prem.conclusion[0] == "mutex":
-                self.step_of(ref, step)
-                if x in prem.conclusion[1] and y in prem.conclusion[1]:
-                    return
-                self.fail(step, "mutex fact does not cover both variables")
-        row = self.row_of(ref, step)
-        if len(row) == 1:
-            mono = next(iter(row))
+        concl = self.premise(ref, step)
+        if concl[0] == "mutex":
+            if x in concl[1] and y in concl[1]:
+                return
+            self.fail(step, "mutex fact does not cover both variables")
+        if concl[0] == "row" and len(concl[1]) == 1:
+            mono = next(iter(concl[1]))
             if len(mono) == 2 and set(mono) == {x, y}:
                 return
         self.fail(step, "premise is not a mutex witness for the pair")
 
-    def _v_mutex_elim(self, step: Step):
-        if step.conclusion[0] != "zero":
-            self.fail(step, "mutex-elim must conclude a zero fact")
-        y = step.conclusion[1]
-        mode = step.payload.get("mode", "nonzero")
-        if mode == "nonzero":
-            x = step.payload["var"]
-            self._mutex_pair_ok(step.premises[0], x, y, step)
-            self._check_evidence(x, step.premises[1:], step)
-        elif mode == "pair":
-            link = self.row_of(step.premises[1], step)
-            shape = _two_monomial_shape(link)
-            if shape is None or y not in shape:
-                self.fail(step, "linking row must have two univariate monomials")
-            a, b = shape
-            x = b if a == y else a
-            self._mutex_pair_ok(step.premises[0], x, y, step)
-        else:
-            self.fail(step, f"unknown mutex-elim mode {mode!r}")
-
     def _values_from(self, refs, step: Step) -> dict[int, Radical]:
         vals: dict[int, Radical] = {}
         for ref in refs:
-            concl = self.fact_of(ref, step)
+            concl = self.premise(ref, step)
             if concl[0] == "value":
                 vals[concl[1]] = concl[2]
             elif _is_zero(concl):
@@ -489,13 +401,65 @@ class _Replayer:
                 rest[m] = c
         return rest, const
 
-    def _v_linear_solve(self, step: Step):
-        if step.conclusion[0] == "value":
-            x, rad = step.conclusion[1], step.conclusion[2]
-        elif step.conclusion[0] == "zero":
-            x, rad = step.conclusion[1], Radical.from_rational(0)
-        else:
-            self.fail(step, "linear-solve must conclude a value or zero fact")
+    # the checks CHECKS names ----------------------------------------------------
+
+    def _axiom(self, step: Step):
+        kind, arg = step.conclusion[0], step.conclusion[1]
+        if kind == "mutex":
+            arg = frozenset(arg)
+        elif kind == "row":
+            arg = frozenset(arg.items())
+        if (kind, arg) not in self.axioms[step.rule]:
+            self.fail(step, f"{kind} conclusion is not a {step.rule} axiom of the graph")
+
+    def _lincomb(self, step: Step):
+        acc: poly.Poly = {}
+        for ref, lam in step.payload["parts"]:
+            acc = poly.add_scaled(acc, self.row_of(ref, step), lam)
+        if acc != step.conclusion[1]:
+            self.fail(step, "linear combination does not reproduce the row")
+
+    def _subst(self, step: Step):
+        src = self.row_of(step.payload["src"], step)
+        v = step.payload["var"]
+        repl = self._replacement(step.payload["def"], v, step)
+        if poly.substitute_var(src, v, repl) != step.conclusion[1]:
+            self.fail(step, "substitution does not reproduce the row")
+
+    def _square_sum_zero(self, step: Step):
+        v = step.conclusion[1]
+        row = self.row_of(step.premises[0], step)
+        if not row or not _is_signed_square_sum(row, strict=True):
+            self.fail(step, "premise is not a same-sign sum of squares")
+        if (v, v) not in row:
+            self.fail(step, "variable does not occur squared in the premise")
+
+    def _single_monomial_zero(self, step: Step):
+        v = step.conclusion[1]
+        row = self.row_of(step.premises[0], step)
+        if len(row) != 1:
+            self.fail(step, "premise row is not a single monomial")
+        mono = next(iter(row))
+        if set(mono) != {v}:
+            self.fail(step, "monomial is not a power of the variable")
+
+    def _mutex_nonzero(self, step: Step):
+        x = step.payload["var"]
+        self._mutex_pair_ok(step.premises[0], x, step.conclusion[1], step)
+        self._check_evidence(x, step.premises[1:], step)
+
+    def _mutex_pair(self, step: Step):
+        y = step.conclusion[1]
+        shape = _two_monomial_shape(self.row_of(step.premises[1], step))
+        if shape is None or y not in shape:
+            self.fail(step, "linking row must have two univariate monomials")
+        a, b = shape
+        x = b if a == y else a
+        self._mutex_pair_ok(step.premises[0], x, y, step)
+
+    def _linear_solve(self, step: Step):
+        x = step.conclusion[1]
+        rad = step.conclusion[2] if step.conclusion[0] == "value" else Radical.from_rational(0)
         row = self.row_of(step.premises[0], step)
         vals = self._values_from(step.premises[1:], step)
         rest, const = self._eval_with(row, vals)
@@ -512,57 +476,40 @@ class _Replayer:
         if want != rad:
             self.fail(step, f"solved value mismatch: {want} vs {rad}")
 
-    def _v_quad_solve_nonzero(self, step: Step):
-        if step.conclusion[0] != "value":
-            self.fail(step, "quad-solve-nonzero must conclude a value fact")
+    def _quad_single(self, step: Step):
         _, x, rad = step.conclusion
-        mode = step.payload.get("mode")
-        if mode == "single":
-            row = self.row_of(step.premises[0], step)
-            v = step.payload["var"]
-            if set(row) != {(v, v), (v,)} or x != v:
-                self.fail(step, "row is not a*x^2 + b*x for the variable")
-            want = Radical.from_rational(-row[(v,)] / row[(v, v)])
-            self._check_evidence(v, step.premises[1:], step)
-        elif mode == "pair":
-            r1 = self.row_of(step.premises[0], step)
-            r2 = self.row_of(step.premises[1], step)
-            a = step.payload["var"]  # the variable squared in r1
-            s1 = _square_link_shape(r1)
-            s2 = _square_link_shape(r2)
-            if s1 is None or s2 is None:
-                self.fail(step, "rows are not of the form a*x^2 + b*y")
-            (xa, ya, kappa) = s1
-            (xb, yb, mu) = s2
-            if xa != a or ya != xb or yb != xa:
-                self.fail(step, "rows do not form a square cycle x^2=k*y, y^2=m*x")
-            if x == xa:
-                want = Radical.root(kappa * kappa * mu, 3)
-            elif x == ya:
-                want = Radical.root(kappa * mu * mu, 3)
-            else:
-                self.fail(step, "conclusion variable is not in the cycle")
-            self._check_evidence(step.payload.get("witness", xa), step.premises[2:], step)
-        else:
-            self.fail(step, f"unknown quad-solve mode {mode!r}")
+        row = self.row_of(step.premises[0], step)
+        v = step.payload["var"]
+        if set(row) != {(v, v), (v,)} or x != v:
+            self.fail(step, "row is not a*x^2 + b*x for the variable")
+        want = Radical.from_rational(-row[(v,)] / row[(v, v)])
+        self._check_evidence(v, step.premises[1:], step)
         if want != rad:
             self.fail(step, f"solved value mismatch: {want} vs {rad}")
 
-    def _v_negative_square(self, step: Step):
-        if step.conclusion[0] != "contradiction":
-            self.fail(step, "negative-square must conclude a contradiction")
+    def _quad_pair(self, step: Step):
+        _, x, rad = step.conclusion
+        s1 = _square_link_shape(self.row_of(step.premises[0], step))
+        s2 = _square_link_shape(self.row_of(step.premises[1], step))
+        a = step.payload["var"]  # the variable squared in the first row
+        if s1 is None or s2 is None:
+            self.fail(step, "rows are not of the form a*x^2 + b*y")
+        (xa, ya, kappa) = s1
+        (xb, yb, mu) = s2
+        if xa != a or ya != xb or yb != xa:
+            self.fail(step, "rows do not form a square cycle x^2=k*y, y^2=m*x")
+        if x == xa:
+            want = Radical.root(kappa * kappa * mu, 3)
+        elif x == ya:
+            want = Radical.root(kappa * mu * mu, 3)
+        else:
+            self.fail(step, "conclusion variable is not in the cycle")
+        self._check_evidence(step.payload.get("witness", xa), step.premises[2:], step)
+        if want != rad:
+            self.fail(step, f"solved value mismatch: {want} vs {rad}")
+
+    def _negative_square(self, step: Step):
         row = self.row_of(step.premises[0], step)
-        if step.payload.get("mode") == "discriminant":
-            pvars = poly.poly_vars(row)
-            if len(pvars) != 1:
-                self.fail(step, "discriminant mode needs a univariate row")
-            v = next(iter(pvars))
-            a = row.get((v, v), Fraction(0))
-            b = row.get((v,), Fraction(0))
-            c = row.get(poly.CONST, Fraction(0))
-            if not a or b * b - 4 * a * c >= 0:
-                self.fail(step, "discriminant is not negative")
-            return
         vals = self._values_from(step.premises[1:], step)
         rest, const = self._eval_with(row, vals)
         if not rest or not _is_signed_square_sum(rest, strict=False):
@@ -574,37 +521,36 @@ class _Replayer:
         if (c.coeff > 0) != (lead > 0):
             self.fail(step, "constant has the wrong sign for a conflict")
 
-    def _v_value_conflict(self, step: Step):
-        if step.conclusion[0] != "contradiction":
-            self.fail(step, "value-conflict must conclude a contradiction")
-        mode = step.payload.get("mode")
-        if mode == "eval":
-            row = self.row_of(step.premises[0], step)
-            vals = self._values_from(step.premises[1:], step)
-            rest, const = self._eval_with(row, vals)
-            if rest or const.is_zero:
-                self.fail(step, "row does not evaluate to a nonzero constant")
-        elif mode == "two-values":
-            a = self.fact_of(step.premises[0], step)
-            b = self.fact_of(step.premises[1], step)
-            if a[0] != "value" or b[0] != "value" or a[1] != b[1] or a[2] == b[2]:
-                self.fail(step, "premises are not conflicting values for one variable")
-        elif mode == "zero-nonzero":
-            z = self.fact_of(step.premises[0], step)
-            if not _is_zero(z):
-                self.fail(step, "first premise must be a zero fact")
-            x = z[1]
-            self._check_evidence(x, step.premises[1:], step)
-        else:
-            self.fail(step, f"unknown value-conflict mode {mode!r}")
+    def _discriminant(self, step: Step):
+        row = self.row_of(step.premises[0], step)
+        pvars = poly.poly_vars(row)
+        if len(pvars) != 1:
+            self.fail(step, "discriminant mode needs a univariate row")
+        v = next(iter(pvars))
+        a = row.get((v, v), Fraction(0))
+        b = row.get((v,), Fraction(0))
+        c = row.get(poly.CONST, Fraction(0))
+        if not a or b * b - 4 * a * c >= 0:
+            self.fail(step, "discriminant is not negative")
 
-    def _v_column_zero_propagate(self, step: Step):
-        if step.conclusion[0] != "null-map":
-            self.fail(step, "column-zero-propagate must conclude the null map")
+    def _eval_conflict(self, step: Step):
+        row = self.row_of(step.premises[0], step)
+        vals = self._values_from(step.premises[1:], step)
+        rest, const = self._eval_with(row, vals)
+        if rest or const.is_zero:
+            self.fail(step, "row does not evaluate to a nonzero constant")
+
+    def _zero_nonzero(self, step: Step):
+        z = self.premise(step.premises[0], step)
+        if not _is_zero(z):
+            self.fail(step, "first premise must be a zero fact")
+        self._check_evidence(z[1], step.premises[1:], step)
+
+    def _column_zero(self, step: Step):
         k = step.payload["column"]
         seen = set()
         for ref in step.premises:
-            concl = self.fact_of(ref, step)
+            concl = self.premise(ref, step)
             if not _is_zero(concl):
                 self.fail(step, "premises must be zero facts")
             i, kk = self.sys.var_pair(concl[1])
@@ -613,25 +559,17 @@ class _Replayer:
         if seen != set(self.sys.graph.vertices()):
             self.fail(step, f"column {k} is not entirely zero")
 
-    def _v_branch_open(self, step: Step):
-        if step.conclusion[0] != "assume":
-            self.fail(step, "branch-open must conclude an assumption")
+    def _branch_open(self, step: Step):
         _, v, nz = step.conclusion
         if not step.branch or step.branch[-1] != (v, nz):
             self.fail(step, "assumption must extend its own branch context")
         self.opens.setdefault(step.branch[:-1], set()).add(v)
 
-    def _v_branch_close(self, step: Step):
-        if step.conclusion[0] != "closed":
-            self.fail(step, "branch-close must conclude a closure")
+    def _branch_close(self, step: Step):
         how = step.conclusion[1]
-        prem = self.step_of(step.premises[0], step)
-        if how == "contradiction" and prem.conclusion[0] != "contradiction":
-            self.fail(step, "closure premise is not a contradiction")
-        if how == "null" and prem.conclusion[0] != "null-map":
-            self.fail(step, "closure premise is not a null-map certificate")
-        if how not in ("contradiction", "null"):
-            self.fail(step, f"unknown closure kind {how!r}")
+        kind = self.premise(step.premises[0], step)[0]
+        if (how, kind) not in (("contradiction", "contradiction"), ("null", "null-map")):
+            self.fail(step, f"a {kind} premise does not close a branch as {how!r}")
         self.closes.add(step.branch)
 
     # case tree ---------------------------------------------------------------
@@ -646,6 +584,33 @@ class _Replayer:
             ):
                 closed.add(split)
         return path in closed
+
+
+# Everything the replayer accepts, and nothing else: (rule, mode) ->
+# (conclusion kinds the step may state, check).  One entry per pair the
+# engine emits.
+CHECKS = {
+    ("leaf-mutex", None): ({"mutex"}, _Replayer._axiom),
+    ("leaf-twin-zero", None): ({"zero"}, _Replayer._axiom),
+    ("leaf-twin-cross", None): ({"zero", "row"}, _Replayer._axiom),
+    ("substitute", "lincomb"): ({"row"}, _Replayer._lincomb),
+    ("substitute", "subst"): ({"row"}, _Replayer._subst),
+    ("square-sum-zero", None): ({"zero"}, _Replayer._square_sum_zero),
+    ("single-monomial-zero", None): ({"zero"}, _Replayer._single_monomial_zero),
+    ("mutex-elim", "nonzero"): ({"zero"}, _Replayer._mutex_nonzero),
+    ("mutex-elim", "pair"): ({"zero"}, _Replayer._mutex_pair),
+    ("linear-solve", None): ({"value", "zero"}, _Replayer._linear_solve),
+    ("quad-solve-nonzero", "single"): ({"value"}, _Replayer._quad_single),
+    ("quad-solve-nonzero", "pair"): ({"value"}, _Replayer._quad_pair),
+    ("negative-square", None): ({"contradiction"}, _Replayer._negative_square),
+    ("negative-square", "discriminant"): ({"contradiction"}, _Replayer._discriminant),
+    ("value-conflict", "eval"): ({"contradiction"}, _Replayer._eval_conflict),
+    ("value-conflict", "zero-nonzero"): ({"contradiction"}, _Replayer._zero_nonzero),
+    ("column-zero-propagate", None): ({"null-map"}, _Replayer._column_zero),
+    ("branch-open", None): ({"assume"}, _Replayer._branch_open),
+    ("branch-close", None): ({"closed"}, _Replayer._branch_close),
+}
+RULES = frozenset(rule for rule, _ in CHECKS)
 
 
 def _is_signed_square_sum(p: poly.Poly, strict: bool) -> bool:

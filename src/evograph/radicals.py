@@ -18,6 +18,7 @@ the rationals, a sum vanishes iff every grouped coefficient vanishes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -188,6 +189,54 @@ def _normalize(coeff: Fraction, exponents: dict[int, Fraction]) -> tuple[Fractio
     return coeff, tuple(parts)
 
 
+# Python converts int <-> str only up to sys.get_int_max_str_digits() digits
+# (4300 by default, never below 640), and exact coefficients outgrow that.
+# Longer integers are converted in pieces of _PIECE digits instead.
+_PIECE = 600
+_TEN_PIECE = 10**_PIECE
+_FRACTION = re.compile(r"\s*(-?)([0-9]+)(?:/([0-9]+))?\s*")
+# The longest numerator or denominator parse_fraction reads.  Engine logs on
+# graphs with up to 6 vertices carry at most 48 466 digits.  Reading a fraction
+# of two random numbers at this cap takes 0.18 s on one Xeon core, mostly in
+# Fraction's gcd, which is quadratic; so forged text costs at most about that
+# much per 200 kB, however long its numbers.
+MAX_DIGITS = 100_000
+
+
+def _int_str(n: int) -> str:
+    if n < 0:
+        return "-" + _int_str(-n)
+    pieces = []
+    while n >= _TEN_PIECE:
+        n, low = divmod(n, _TEN_PIECE)
+        pieces.append(str(low).zfill(_PIECE))
+    return str(n) + "".join(reversed(pieces))
+
+
+def _digits_int(digits: str) -> int:
+    if len(digits) <= _PIECE:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_int(digits[:-k]) * 10**k + _digits_int(digits[-k:])
+
+
+def fraction_str(q: Fraction) -> str:
+    """``str(q)``, also when q is too long for ``str``."""
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The fraction ``fraction_str`` wrote as text, up to ``MAX_DIGITS`` digits a part."""
+    m = _FRACTION.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a fraction: {text[:50]!r}")
+    if max(len(m[2]), len(m[3] or "")) > MAX_DIGITS:
+        raise ValueError(f"fraction longer than {MAX_DIGITS} digits")
+    q = Fraction(_digits_int(m[2]), _digits_int(m[3] or "1"))
+    return -q if m[1] else q
+
+
 @dataclass(frozen=True)
 class Radical:
     coeff: Fraction
@@ -295,14 +344,14 @@ class Radical:
 
     def __str__(self) -> str:
         if self.is_rational:
-            return str(self.coeff)
+            return fraction_str(self.coeff)
         factors = "*".join(f"{p}^({e})" for p, e in self.parts)
-        return f"{self.coeff}*{factors}"
+        return f"{fraction_str(self.coeff)}*{factors}"
 
     @staticmethod
     def parse(text: str) -> "Radical":
         chunks = text.strip().split("*")
-        coeff = Fraction(chunks[0])
+        coeff = parse_fraction(chunks[0])
         exps: dict[int, Fraction] = {}
         for chunk in chunks[1:]:
             base, _, expo = chunk.partition("^")

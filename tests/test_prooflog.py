@@ -1,15 +1,23 @@
 import dataclasses
 import hashlib
 import json
+import re
+import sys
 import time
 
 import pytest
 
-from evograph.cli import NULL_ONLY_INSTANCES
+from evograph.cli import (
+    ISO_INSTANCES,
+    NO_FALSE_CERT_INSTANCES,
+    NULL_ONLY_INSTANCES,
+    NUMERIC_NULL_INSTANCES,
+)
 from evograph.deduce import prove_null_only
 from evograph.graphs import build_graph, bull_graph, generate_family
 from evograph.homsystem import derive_constraints
 from evograph.prooflog import (
+    CHECKS,
     NULL_ONLY,
     RULES,
     ProofLog,
@@ -213,6 +221,7 @@ def _log_text(conclusion: dict) -> str:
         "[" * 100_000 + "]" * 100_000,
         _log_text({"kind": "zero", "var": "t_0_6"}),
         _log_text({"kind": "zero", "var": "t_1_99"}),
+        _log_text({"kind": "row", "terms": [{"coeff": float("inf"), "monomial": []}]}),
     ],
     ids=[
         "step-without-id",
@@ -223,6 +232,7 @@ def _log_text(conclusion: dict) -> str:
         "deep-nesting",
         "var-index-zero",
         "var-index-above-n",
+        "infinite-coefficient",
     ],
 )
 def test_load_log_rejects_malformed_input(text):
@@ -239,6 +249,115 @@ def test_forged_perfect_power_base_loads_quickly(bull_proof):
     start = time.perf_counter()
     res = replay_proof(sys, load_log(json.dumps(payload), sys))
     assert not res and time.perf_counter() - start < 1.0
+
+
+def _forge_coefficient(payload: dict, field: str, text: str) -> None:
+    """Put text in the first coefficient of the log's field "coeff", "parts" or "scalar"."""
+    steps = payload["steps"]
+    if field == "coeff":
+        row = next(s["conclusion"] for s in steps if s["conclusion"]["kind"] == "row")
+        row["terms"][0]["coeff"] = text
+    elif field == "parts":
+        next(s["payload"] for s in steps if "parts" in s["payload"])["parts"][0][1] = text
+    else:
+        step = next(s for s in steps if s["conclusion"]["kind"] == "zero")
+        step["conclusion"] = {"kind": "value", "var": step["conclusion"]["var"], "scalar": text}
+
+
+@pytest.mark.parametrize("field", ["coeff", "parts", "scalar"])
+def test_forged_long_coefficient_rejected_quickly(field, bull_proof):
+    _, sys, log = bull_proof
+    payload = json.loads(dump_log(log, sys))
+    _forge_coefficient(payload, field, "7" * 2_000_000 + "/" + "3" * 2_000_000)
+    text = json.dumps(payload)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        load_log(text, sys)
+    assert time.perf_counter() - start < 1.0
+
+
+def _edge_list_graph(spec: str):
+    """ "n: u-v u-v ..." as a graph."""
+    n, edges = spec.split(":")
+    return build_graph(int(n), [tuple(map(int, e.split("-"))) for e in edges.split()])
+
+
+def _table_key(step: Step) -> tuple:
+    return step.rule, step.payload.get("op" if step.rule == "substitute" else "mode")
+
+
+# Null-only graphs whose logs reach the table entries no corpus log reaches:
+# mutex-elim/pair in the first; both negative-square modes and
+# value-conflict/eval in the second.
+RARE_RULE_GRAPHS = [
+    "6: 1-5 2-3 2-4 2-5 3-4 3-5 5-6",
+    "6: 1-2 1-3 1-4 1-5 2-3 2-4 2-5 3-4 3-5 4-5 4-6 5-6",
+]
+
+
+@pytest.fixture(scope="module")
+def rare_rule_logs():
+    out = {}
+    for spec in RARE_RULE_GRAPHS:
+        g = _edge_list_graph(spec)
+        verdict = prove_null_only(g)
+        assert verdict.kind == NULL_ONLY
+        out[spec] = derive_constraints(g), verdict.log
+    return out
+
+
+@pytest.mark.parametrize("spec", RARE_RULE_GRAPHS)
+def test_rare_rule_logs_replay(spec, rare_rule_logs):
+    sys_, log = rare_rule_logs[spec]
+    assert replay_proof(sys_, log)
+    assert replay_proof(sys_, load_log(dump_log(log, sys_), sys_))
+
+
+def test_every_table_entry_occurs_in_an_engine_log(rare_rule_logs):
+    corpus = dict.fromkeys(
+        NULL_ONLY_INSTANCES + ISO_INSTANCES + NO_FALSE_CERT_INSTANCES + NUMERIC_NULL_INSTANCES
+    )
+    logs = [log for _, log in rare_rule_logs.values()]
+    logs += [prove_null_only(generate_family(desc)).log for desc in corpus]
+    seen = {_table_key(s) for log in logs for s in log.steps}
+    assert seen == set(CHECKS)
+    assert RULES == {rule for rule, _ in CHECKS} and len(CHECKS) == 19
+
+
+@pytest.mark.parametrize(
+    "rule, mode", [("mutex-elim", None), ("value-conflict", "two-values")]
+)
+def test_pair_outside_the_table_rejected(rule, mode, bull_proof):
+    _, sys_, log = bull_proof
+    idx = next(i for i, s in enumerate(log.steps) if s.rule == rule)
+    payload = {k: v for k, v in log.steps[idx].payload.items() if k != "mode"}
+    if mode is not None:
+        payload["mode"] = mode
+    steps = list(log.steps)
+    steps[idx] = dataclasses.replace(log.steps[idx], payload=payload)
+    res = replay_proof(sys_, ProofLog(steps=steps, verdict=log.verdict))
+    assert not res and res.failure.index == log.steps[idx].sid
+    assert "unknown rule" in res.failure.reason
+
+
+def test_load_log_rejects_another_graph(bull_proof):
+    _, sys_, log = bull_proof
+    permuted = bull_graph().relabel({1: 5, 5: 1, 2: 2, 3: 3, 4: 4})
+    with pytest.raises(ValueError, match="another graph"):
+        load_log(dump_log(log, sys_), derive_constraints(permuted))
+
+
+def test_coefficients_past_the_int_str_limit_round_trip():
+    # one lincomb factor in this log has 17 347 digits, past Python's
+    # default limit of 4300 digits for int <-> str conversion
+    g = _edge_list_graph("5: 1-2 1-5 2-3 2-4 2-5 3-4 4-5")
+    sys_, verdict = derive_constraints(g), prove_null_only(g)
+    assert verdict.kind == NULL_ONLY
+    limit = sys.get_int_max_str_digits()
+    text = dump_log(verdict.log, sys_)
+    assert max(len(digits) for digits in re.findall(r"\d+", text)) > 4300
+    assert replay_proof(sys_, load_log(text, sys_))
+    assert sys.get_int_max_str_digits() == limit
 
 
 # sha256 of dump_log on each corpus certificate: the engine's logs are pinned.

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evograph.radicals import Radical, RadicalSum
+from evograph.radicals import MAX_DIGITS, Radical, RadicalSum, fraction_str, parse_fraction
 
 F = Fraction
 
@@ -120,3 +120,30 @@ class TestRadicalSum:
     def test_float_agreement(self, a, b):
         s = RadicalSum.from_radical(Radical.root(abs(a), 3)) + RadicalSum.from_rational(b)
         assert abs(float(s) - (abs(a) ** (1 / 3) + float(b))) < 1e-9 * max(1.0, abs(float(s)))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [F(0), F(-7, 3), F(10**5000 + 1, 3**9000), -F(10**17347), F(1, 10**4300)],
+    ids=["zero", "small", "long-ratio", "long-negative", "long-denominator"],
+)
+def test_fraction_text_is_exact_past_the_int_str_limit(q):
+    text = fraction_str(q)
+    assert parse_fraction(text) == q
+    if abs(q.numerator) < 10**100 and q.denominator < 10**100:
+        assert text == str(q)
+    assert fraction_str(F(10**5000)) == "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1), "1.5", "+2", "2/-3", ""]
+)
+def test_parse_fraction_rejects_text_fraction_str_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_fraction(text)
+    assert parse_fraction("-" + "9" * MAX_DIGITS) == -(10**MAX_DIGITS - 1)
+
+
+def test_long_radical_coefficient_round_trips():
+    r = Radical.root(2, 3) * Radical.from_rational(F(-(10**6000) - 1, 7))
+    assert Radical.parse(str(r)) == r
