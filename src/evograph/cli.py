@@ -49,6 +49,7 @@ from .search import (
 PREDICT_ISO = "isomorphic"
 PREDICT_NULL = "null-only"
 PREDICT_CONJECTURE = "conjectured-null-only"
+PREDICT_NO_ALGEBRA = "no-random-walk-algebra"
 
 
 class SoundnessTripwire(RuntimeError):
@@ -81,6 +82,8 @@ class AnalysisReport:
 
 
 def _predict(singular: bool, reg) -> tuple[str, str]:
+    if reg.is_regular and reg.k == 0:  # one vertex: P = D^-1 A is undefined
+        return PREDICT_NO_ALGEBRA, "degree-0"
     if reg.is_regular or reg.is_biregular:
         return PREDICT_ISO, "constructive" if singular else "regularity-criterion"
     if not singular:

@@ -7,6 +7,13 @@ near-exact minimiser as rational or radical entries for exact
 verification.  A reported "none found" is evidence, not a proof; only
 the deduction engine certifies.
 
+Residuals and the normal equations (J^T J and J^T r) come from the
+matrix form of the constraint system, ``T diag(A_r) T^T - diag((P T)[:, r])``
+for each vertex r, in O(n^4) per candidate; no Jacobian is built.  All
+restarts advance together, one stacked solve per iteration, each with
+its own damping and stopping rules.  They run in blocks whose stacked
+n^2 x n^2 normal matrices fit in ``BLOCK_BYTES``, which bounds memory.
+
 For regular and biregular graphs the isomorphism is written down in
 closed form: (1/k) * I in the regular case, and a diagonal map with
 radical entries alpha = (k1^2 k2)^(-1/3), beta = (k1 k2^2)^(-1/3) on the
@@ -40,6 +47,9 @@ MAX_ITERATIONS = 500  # damped least-squares steps per restart
 TOL_RESIDUAL = 1e-10  # residual max-norm below which a point is reconstructed
 TOL_NULL = 1e-6  # entry max-norm below which a point is the null map
 INIT_SCALE = 1.5  # starts are uniform in [-INIT_SCALE, INIT_SCALE]
+# Restarts are minimised in blocks whose stacked n^2 x n^2 normal matrices
+# fit in this many bytes; a larger graph runs one restart at a time.
+BLOCK_BYTES = 1_300_000
 
 
 @dataclass(frozen=True)
@@ -62,54 +72,66 @@ class SearchOutcome:
     restart_index: int = -1
 
 
-class _CompiledSystem:
-    """Constraint terms flattened into index arrays for vectorised evaluation."""
+class _MatrixForm:
+    """The constraint system of a graph in matrix form, for a stack of candidates.
 
-    def __init__(self, sys: HomSystem):
-        self.m = len(sys.constraints)
-        self.nvars = sys.num_vars
-        rows, v1, v2, coeff = [], [], [], []
-        for ci, c in enumerate(sys.constraints):
-            for mono, cf in c.p.items():
-                rows.append(ci)
-                coeff.append(float(cf))
-                if len(mono) == 2:
-                    v1.append(mono[0])
-                    v2.append(mono[1])
-                elif len(mono) == 1:
-                    v1.append(mono[0])
-                    v2.append(-1)
-                else:
-                    v1.append(-1)
-                    v2.append(-1)
-        self.rows = np.array(rows, dtype=np.int64)
-        self.v1 = np.array(v1, dtype=np.int64)
-        self.v2 = np.array(v2, dtype=np.int64)
-        self.coeff = np.array(coeff, dtype=np.float64)
-        self.quad = self.v2 >= 0
-        self.lin = (self.v2 < 0) & (self.v1 >= 0)
-        self.const = self.v1 < 0
+    For each vertex r the constraints are the upper triangle of
+    ``M_r - diag((P T)[:, r])`` with ``M_r = T diag(A_r) T^T``: the product
+    constraints are ``M[r, i, j]`` for i < j, the square constraints
+    ``S[r, i] = M[r, i, i] - (P T)[i, r]``.  ``A`` is the adjacency matrix
+    and ``P = D^-1 A`` (a zero row on the one-vertex graph).  Residuals
+    and normal equations cost O(n^4) per candidate.
+    """
 
-    def residual_vec(self, x: np.ndarray) -> np.ndarray:
-        r = np.zeros(self.m)
-        q, l, c = self.quad, self.lin, self.const
-        if q.any():
-            np.add.at(r, self.rows[q], self.coeff[q] * x[self.v1[q]] * x[self.v2[q]])
-        if l.any():
-            np.add.at(r, self.rows[l], self.coeff[l] * x[self.v1[l]])
-        if c.any():
-            np.add.at(r, self.rows[c], self.coeff[c])
-        return r
+    def __init__(self, g: Graph):
+        n = g.n
+        A = np.array(g.adj, dtype=np.float64).reshape(n, n)
+        deg = A.sum(axis=1)
+        self.n, self.A = n, A
+        self.P = np.divide(A, deg[:, None], out=np.zeros_like(A), where=deg[:, None] > 0)
+        self.C = A.T @ A
+        self.Q = self.P.T @ self.P
+        self.iu = np.triu_indices(n, 1)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        J = np.zeros((self.m, self.nvars))
-        q, l = self.quad, self.lin
-        if q.any():
-            np.add.at(J, (self.rows[q], self.v1[q]), self.coeff[q] * x[self.v2[q]])
-            np.add.at(J, (self.rows[q], self.v2[q]), self.coeff[q] * x[self.v1[q]])
-        if l.any():
-            np.add.at(J, (self.rows[l], self.v1[l]), self.coeff[l])
-        return J
+    def _products(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """M[b, r, i, j] and the square residuals S[b, r, i]."""
+        M = (T[:, None, :, :] * self.A[None, :, None, :]) @ T.transpose(0, 2, 1)[:, None]
+        S = np.diagonal(M, axis1=2, axis2=3) - (self.P @ T).transpose(0, 2, 1)
+        return M, S
+
+    def residuals(self, X: np.ndarray) -> np.ndarray:
+        """Residuals of the flat candidates ``X`` (B x n^2), in constraint order."""
+        T = X.reshape(len(X), self.n, self.n)
+        M, S = self._products(T)
+        i, j = self.iu
+        return np.concatenate(
+            [M[:, :, i, j].reshape(len(X), -1), S.reshape(len(X), -1)], axis=1
+        )
+
+    def normal_equations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``J^T J`` (B x n^2 x n^2) and ``J^T r`` (B x n^2) at the flat candidates."""
+        B, n, A, C = len(X), self.n, self.A, self.C
+        T = X.reshape(B, n, n)
+        M, S = self._products(T)
+        # M_r becomes R_r: the product residuals off the diagonal, twice the
+        # square residuals on it, so that J^T r sums A_rk (R_r T)_pk over r
+        np.einsum("brii->bri", M)[...] = 2.0 * S
+        Jr = np.einsum("rk,brpk->bpk", A, M @ T[:, None]) - (S @ self.P).transpose(0, 2, 1)
+        # J^T J[(p,k),(q,l)] = delta_pq C_kl (G_kl + 2 T_pk T_pl) + C_kl T_qk T_pl
+        #                      - 2 A_kl (T_pk P_pq + T_ql P_qp) + delta_kl Q_pq
+        H = np.multiply(
+            T[:, :, None, None, :] * C[:, None, :],
+            T.transpose(0, 2, 1)[:, None, :, :, None],
+            order="C",  # so that the n^2 x n^2 view below is not a copy
+        )
+        TA = T[:, :, :, None] * (2.0 * A)  # 2 T_pk A_kl
+        E = TA[:, :, :, None, :] * self.P[:, None, :, None]
+        H -= E
+        H -= np.multiply(TA.transpose(0, 3, 1, 2)[:, None], self.P.T[:, None, :, None], out=E)
+        G = T.transpose(0, 2, 1) @ T
+        np.einsum("bpkpl->bpkl", H)[...] += C * (G[:, None] + 2.0 * T[:, :, :, None] * T[:, :, None, :])
+        np.einsum("bpkqk->bpkq", H)[...] += self.Q[:, None, :]
+        return H.reshape(B, n * n, n * n), Jr.reshape(B, n * n)
 
 
 def gradient(sys: HomSystem, T) -> np.ndarray:
@@ -117,42 +139,51 @@ def gradient(sys: HomSystem, T) -> np.ndarray:
     x = np.asarray(T, dtype=np.float64).reshape(-1)
     if x.size != sys.num_vars:
         raise ValueError(f"candidate has {x.size} entries, system expects {sys.num_vars}")
-    comp = _CompiledSystem(sys)
-    r = comp.residual_vec(x)
-    return (2.0 * comp.jacobian(x).T @ r).reshape(sys.n, sys.n)
+    _, Jr = _MatrixForm(sys.graph).normal_equations(x[None])
+    return (2.0 * Jr[0]).reshape(sys.n, sys.n)
 
 
-def _lm_minimize(comp: _CompiledSystem, x0: np.ndarray, max_iter: int) -> np.ndarray:
-    """Damped least squares; multiply damping by 10 on a failed step,
-    divide by 10 on success."""
-    x = x0.copy()
-    r = comp.residual_vec(x)
-    cost = float(r @ r)
-    lam = 1e-3
-    eye = np.eye(comp.nvars)
+def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> np.ndarray:
+    """Damped least squares from each row of ``X0``, all rows advanced together.
+
+    Each row keeps its own schedule: damping is multiplied by 10 on a
+    failed or singular step and divided by 10 on success; a row stops
+    at a residual below 1e-14, an accepted step below 1e-15, or damping
+    above 1e12.
+    """
+    X = X0.copy()
+    N = X.shape[1]
+    live = np.arange(len(X))  # rows still iterating
+    r = form.residuals(X)
+    cost = np.sum(r * r, axis=1)
+    lam = np.full(len(X), 1e-3)
+    stop = np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
-        if np.max(np.abs(r)) < 1e-14:
+        keep = ~stop & (np.abs(r).max(axis=1) >= 1e-14)
+        live, r, cost, lam = live[keep], r[keep], cost[keep], lam[keep]
+        if not len(live):
             break
-        J = comp.jacobian(x)
-        g = J.T @ r
+        x = X[live]
+        H, g = form.normal_equations(x)
+        H.reshape(len(live), N * N)[:, :: N + 1] += lam[:, None]
+        solved = np.ones(len(live), dtype=bool)
         try:
-            delta = np.linalg.solve(J.T @ J + lam * eye, -g)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        xn = x + delta
-        rn = comp.residual_vec(xn)
-        costn = float(rn @ rn)
-        if costn < cost:
-            x, r, cost = xn, rn, costn
-            lam = max(lam / 10.0, 1e-13)
-            if np.max(np.abs(delta)) < 1e-15:
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-    return x
+            delta = -np.linalg.solve(H, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # find the singular rows one by one
+            delta = np.zeros_like(x)
+            for b in range(len(live)):
+                try:
+                    delta[b] = -np.linalg.solve(H[b], g[b])
+                except np.linalg.LinAlgError:
+                    solved[b] = False
+        rn = form.residuals(x + delta)
+        costn = np.sum(rn * rn, axis=1)
+        better = solved & (costn < cost)
+        X[live[better]] += delta[better]
+        r[better], cost[better] = rn[better], costn[better]
+        lam = np.where(better, np.maximum(lam / 10.0, 1e-13), lam * 10.0)
+        stop = np.where(better, np.abs(delta).max(axis=1) < 1e-15, solved & (lam > 1e12))
+    return X
 
 
 _RADICAL_BASES = sorted(
@@ -206,26 +237,29 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     that succeeds, verified exactly; outcomes rank
     verified-hom > candidate > none-found, ties by lowest restart index.
     """
-    sys = derive_constraints(g)
-    comp = _CompiledSystem(sys)
-    rng = np.random.default_rng(cfg.seed)
+    n = g.n
+    form = _MatrixForm(g)
+    starts = np.random.default_rng(cfg.seed).uniform(
+        -INIT_SCALE, INIT_SCALE, size=(cfg.restarts, n * n)
+    )
+    block = max(1, BLOCK_BYTES // (8 * n**4))
     best: tuple[float, int, np.ndarray] | None = None  # residual, restart, point
-    for idx in range(cfg.restarts):
-        x0 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=sys.num_vars)
-        x = _lm_minimize(comp, x0, MAX_ITERATIONS)
-        if np.max(np.abs(x)) < TOL_NULL:
-            continue
-        res = float(np.max(np.abs(comp.residual_vec(x))))
-        if best is None or res < best[0]:
-            best = (res, idx, x)
+    for first in range(0, cfg.restarts, block):
+        X = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
+        res = np.abs(form.residuals(X)).max(axis=1)
+        for b, x in enumerate(X):
+            if np.max(np.abs(x)) < TOL_NULL:
+                continue
+            if best is None or res[b] < best[0]:
+                best = (float(res[b]), first + b, x)
     if best is None:
         return SearchOutcome(NONE_FOUND, float("inf"))
     res, idx, x = best
     T_float = HomCandidate.from_rows(
-        [[float(x[i * sys.n + k]) for k in range(sys.n)] for i in range(sys.n)]
+        [[float(x[i * n + k]) for k in range(n)] for i in range(n)]
     )
-    if res < TOL_RESIDUAL and g.n > 1:  # no random-walk algebra on one vertex
-        exact = _reconstruct_matrix(x, sys.n)
+    if res < TOL_RESIDUAL and n > 1:  # no random-walk algebra on one vertex
+        exact = _reconstruct_matrix(x, n)
         if exact is not None and exact.max_abs() > 0 and is_homomorphism_direct(g, exact):
             iso = is_isomorphism(g, exact)
             return SearchOutcome(VERIFIED_HOM, res, T_float, exact, iso, idx)

@@ -82,6 +82,7 @@ class TestReports:
             "cycle:5": ("isomorphic", "regularity-criterion"),  # non-singular, regular
             "bull": ("conjectured-null-only", "conjecture"),  # singular, neither
             "path:4": ("null-only", "regularity-criterion"),  # non-singular, neither
+            "path:1": ("no-random-walk-algebra", "degree-0"),  # regular of degree 0
         }
         for desc, (pred, basis) in cases.items():
             g = generate_family(desc)
@@ -114,6 +115,12 @@ class TestCommands:
     def test_analyze_single_vertex(self):
         code, out, _ = run_cli("analyze", "path:1", "--fast")
         assert code == 0 and "regular of degree 0" in out
+
+    def test_analyze_single_vertex_json(self):
+        code, out, _ = run_cli("analyze", "path:1", "--fast", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["closed_form"] is False
+        assert (payload["prediction"], payload["prediction_basis"]) == ("no-random-walk-algebra", "degree-0")
 
     def test_analyze_rejects_disconnected_file(self, tmp_path):
         bad = tmp_path / "two_pieces.txt"

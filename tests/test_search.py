@@ -3,11 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from evograph.cli import ISO_INSTANCES, NO_FALSE_CERT_INSTANCES, NULL_ONLY_INSTANCES, NUMERIC_NULL_INSTANCES
 from evograph.graphs import (
     build_graph,
     bull_graph,
     complete_bipartite,
     cycle_graph,
+    generate_family,
     path_graph,
     star_graph,
     tadpole,
@@ -20,7 +22,8 @@ from evograph.search import (
     TOL_RESIDUAL,
     VERIFIED_HOM,
     SearchConfig,
-    _CompiledSystem,
+    _lm_minimize,
+    _MatrixForm,
     closed_form_iso,
     find_homomorphism,
     gradient,
@@ -28,6 +31,28 @@ from evograph.search import (
 )
 
 F = Fraction
+
+MATRIX_FORM_GRAPHS = sorted(
+    set(NULL_ONLY_INSTANCES + ISO_INSTANCES + NO_FALSE_CERT_INSTANCES + NUMERIC_NULL_INSTANCES)
+    | {"path:1", "path:2"}
+)
+
+
+def squared_residual(sys, x) -> float:
+    """Sum of squared constraint residuals, evaluated on the symbolic system."""
+    T = HomCandidate.from_rows(x.reshape(sys.n, sys.n).tolist())
+    return float(sum(v * v for v in residual(sys, T).values))
+
+
+def dense_jacobian(sys, x) -> np.ndarray:
+    """Jacobian of the constraints at x, differentiating each polynomial term by term."""
+    J = np.zeros((len(sys.constraints), sys.num_vars))
+    for c, con in enumerate(sys.constraints):
+        for mono, coeff in con.p.items():
+            for pos, v in enumerate(mono):
+                rest = np.prod([x[u] for u in mono[:pos] + mono[pos + 1 :]])
+                J[c, v] += float(coeff) * rest
+    return J
 
 
 class TestConfig:
@@ -88,7 +113,6 @@ class TestGradient:
         rng = np.random.default_rng(5)
         for g in [cycle_graph(4), bull_graph(), tadpole(4, 1)]:
             sys = derive_constraints(g)
-            comp = _CompiledSystem(sys)
             x = rng.uniform(-1.5, 1.5, size=sys.num_vars)
             G = gradient(sys, x.reshape(sys.n, sys.n)).reshape(-1)
             h = 1e-6
@@ -96,10 +120,46 @@ class TestGradient:
                 xp, xm = x.copy(), x.copy()
                 xp[idx] += h
                 xm[idx] -= h
-                fp = float(comp.residual_vec(xp) @ comp.residual_vec(xp))
-                fm = float(comp.residual_vec(xm) @ comp.residual_vec(xm))
-                fd = (fp - fm) / (2 * h)
+                fd = (squared_residual(sys, xp) - squared_residual(sys, xm)) / (2 * h)
                 assert abs(G[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+class TestMatrixForm:
+    """The batched matrix form agrees with the symbolic constraint system."""
+
+    @pytest.mark.parametrize("desc", MATRIX_FORM_GRAPHS)
+    def test_agrees_with_symbolic_system(self, desc):
+        sys = derive_constraints(generate_family(desc))
+        form = _MatrixForm(sys.graph)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1.5, 1.5, size=(2, sys.num_vars))
+        R = form.residuals(X)
+        H, g = form.normal_equations(X)
+        for b, x in enumerate(X):
+            T = HomCandidate.from_rows(x.reshape(sys.n, sys.n).tolist())
+            expected = np.array(residual(sys, T).values, dtype=np.float64)
+            np.testing.assert_allclose(R[b], expected, rtol=0, atol=1e-12)
+            J = dense_jacobian(sys, x)
+            np.testing.assert_allclose(g[b], J.T @ expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(H[b], J.T @ J, rtol=0, atol=1e-12)
+
+
+class TestBatchedMinimizer:
+    def test_singular_step_stays_with_its_restart(self):
+        # residual x, Jacobian I; row 0's damped normal matrix is singular
+        class Form:
+            def residuals(self, X):
+                return X.copy()
+
+            def normal_equations(self, X):
+                H = np.stack([np.eye(X.shape[1]) for _ in X])
+                H[0] *= -1e-3  # cancelled exactly by the initial damping
+                return H, X.copy()
+
+        X0 = np.array([[1.0, -2.0], [0.5, 3.0]])
+        X = _lm_minimize(Form(), X0, max_iter=1)
+        assert np.array_equal(X[0], X0[0])
+        np.testing.assert_allclose(X[1], X0[1] * (1e-3 / (1 + 1e-3)), rtol=1e-12)
 
 
 class TestReconstruction:
