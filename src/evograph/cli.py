@@ -81,8 +81,13 @@ class AnalysisReport:
         return AnalysisReport(**json.loads(text))
 
 
+def _no_algebra(reg) -> bool:
+    """One vertex: P = D^-1 A is undefined, so there is no random-walk algebra."""
+    return reg.is_regular and reg.k == 0
+
+
 def _predict(singular: bool, reg) -> tuple[str, str]:
-    if reg.is_regular and reg.k == 0:  # one vertex: P = D^-1 A is undefined
+    if _no_algebra(reg):
         return PREDICT_NO_ALGEBRA, "degree-0"
     if reg.is_regular or reg.is_biregular:
         return PREDICT_ISO, "constructive" if singular else "regularity-criterion"
@@ -210,8 +215,20 @@ def cmd_derive(args) -> int:
     return 0
 
 
+def _report_no_algebra(args, key: str) -> int:
+    """Answer prove or search on a graph with no random-walk algebra; no log."""
+    if args.json:
+        print(json.dumps({key: PREDICT_NO_ALGEBRA, "reason": "degree-0"}))
+    else:
+        print(f"{key}: {PREDICT_NO_ALGEBRA}")
+        print("reason: degree-0")
+    return 0
+
+
 def cmd_prove(args) -> int:
     g = load_graph(args.graph)
+    if _no_algebra(classify_regularity(g)):
+        return _report_no_algebra(args, "verdict")
     verdict = prove_null_only(g, Budget(max_depth=args.depth))
     payload = dump_log(verdict.log, derive_constraints(g))
     if args.log_out:
@@ -231,6 +248,8 @@ def cmd_prove(args) -> int:
 
 def cmd_search(args) -> int:
     g = load_graph(args.graph)
+    if _no_algebra(classify_regularity(g)):
+        return _report_no_algebra(args, "outcome")
     out = find_homomorphism(g, SearchConfig(restarts=args.restarts, seed=args.seed))
     payload = {
         "outcome": out.kind,

@@ -88,6 +88,9 @@ class DeductionState:
         self.branch = branch
         self.rows: dict[Ref, poly.Poly] = {}
         self.basis: dict[poly.Mono, Ref] = {}
+        # occurrence indexes over self.rows, kept by _add_row and _remove_row
+        self.mono_rows: dict[poly.Mono, set[Ref]] = {}
+        self.var_rows: dict[int, set[Ref]] = {}
         self.zeros: dict[int, Ref] = {}
         self.values: dict[int, tuple[Radical, Ref]] = {}
         self.nonzero: dict[int, Ref] = {}
@@ -104,6 +107,8 @@ class DeductionState:
         c = DeductionState(self.shared, self.branch)
         c.rows = dict(self.rows)
         c.basis = dict(self.basis)
+        c.mono_rows = {m: set(refs) for m, refs in self.mono_rows.items()}
+        c.var_rows = {v: set(refs) for v, refs in self.var_rows.items()}
         c.zeros = dict(self.zeros)
         c.values = dict(self.values)
         c.nonzero = dict(self.nonzero)
@@ -163,25 +168,24 @@ class DeductionState:
         self.pending.append((ref, p))
 
     def _substitute_facts(self, ref: Ref, p: poly.Poly):
-        """One logged substitution per determined variable occurring in p."""
-        while True:
-            target = next(
-                (
-                    v
-                    for v in sorted(poly.poly_vars(p))
-                    if v in self.zeros
-                    or (v in self.values and self.values[v][0].is_rational)
-                ),
-                None,
-            )
-            if target is None:
-                return ref, p
-            if target in self.zeros:
-                ref, p = self._subst(ref, p, target, self.zeros[target], {})
-            else:
-                rad, dref = self.values[target]
+        """One logged substitution per determined variable occurring in p.
+
+        Variables go in ascending order.  A constant replacement only
+        removes variables, so one sorted pass over p's variables suffices;
+        a variable cancelled by an earlier substitution is skipped.
+        """
+        for v in sorted(poly.poly_vars(p)):
+            if v in self.zeros:
+                repl, dref = {}, self.zeros[v]
+            elif v in self.values and self.values[v][0].is_rational:
+                rad, dref = self.values[v]
                 c = rad.as_rational()
-                ref, p = self._subst(ref, p, target, dref, {poly.CONST: c} if c else {})
+                repl = {poly.CONST: c} if c else {}
+            else:
+                continue
+            if any(v in m for m in p):
+                ref, p = self._subst(ref, p, v, dref, repl)
+        return ref, p
 
     def _subst(self, ref: Ref, p: poly.Poly, v: int, dref: Ref, repl: poly.Poly):
         """Replace v by repl in p, justified by the fact or affine row dref."""
@@ -218,6 +222,12 @@ class DeductionState:
         )
         return nref, cur
 
+    def _add_row(self, ref: Ref, p: poly.Poly):
+        self.rows[ref] = p
+        self.basis[poly.leading_mono(p)] = ref
+        _index(self.mono_rows, p, ref)
+        _index(self.var_rows, poly.poly_vars(p), ref)
+
     def _remove_row(self, ref: Ref):
         p = self.rows.pop(ref, None)
         if p is None:
@@ -225,6 +235,8 @@ class DeductionState:
         lead = poly.leading_mono(p)
         if self.basis.get(lead) == ref:
             del self.basis[lead]
+        _unindex(self.mono_rows, p, ref)
+        _unindex(self.var_rows, poly.poly_vars(p), ref)
         return p
 
     def process_pending(self) -> bool:
@@ -271,7 +283,7 @@ class DeductionState:
     def _insert(self, ref: Ref, p: poly.Poly):
         lead = poly.leading_mono(p)
         # back-substitute the new pivot out of existing rows
-        holders = sorted(r for r, q in self.rows.items() if lead in q)
+        holders = sorted(self.mono_rows.get(lead, ()))
         for r in holders:
             q = self._remove_row(r)
             lam = -q[lead] / p[lead]
@@ -286,15 +298,13 @@ class DeductionState:
             )
             if set(nq) == {poly.CONST}:
                 self.contradict("value-conflict", [nref], {"mode": "eval"})
-            self.rows[nref] = nq
-            self.basis[poly.leading_mono(nq)] = nref
+            self._add_row(nref, nq)
             self._shape_rules(nref, nq)
-        self.rows[ref] = p
-        self.basis[lead] = ref
+        self._add_row(ref, p)
         if len(lead) == 1:
             # new affine definition: rewrite quadratic occurrences elsewhere
             v = lead[0]
-            for r in sorted(self.rows):
+            for r in sorted(self.var_rows[v]):
                 if r == ref:
                     continue
                 q = self.rows[r]
@@ -416,8 +426,10 @@ class DeductionState:
         # single rows a*x^2 + b*x with x known nonzero
         for ref in sorted(self.rows):
             p = self.rows[ref]
+            if len(p) != 2:
+                continue
             pv = poly.poly_vars(p)
-            if len(pv) == 1 and len(p) == 2:
+            if len(pv) == 1:
                 v = next(iter(pv))
                 if set(p) == {(v, v), (v,)} and v in chains and v not in self.values:
                     val = Radical.from_rational(-p[(v,)] / p[(v, v)])
@@ -466,8 +478,9 @@ class DeductionState:
         """Rows whose variables are (almost) all pinned to radical values."""
         for ref in sorted(self.rows):
             p = self.rows[ref]
-            unknown = [v for v in sorted(poly.poly_vars(p)) if v not in self.values]
-            valued = [v for v in sorted(poly.poly_vars(p)) if v in self.values]
+            pvars = sorted(poly.poly_vars(p))
+            unknown = [v for v in pvars if v not in self.values]
+            valued = [v for v in pvars if v in self.values]
             if not valued and len(unknown) > 1:
                 continue
             vrefs = [self.values[v][1] for v in valued]
@@ -506,14 +519,29 @@ class DeductionState:
         if not self.dirty:
             return False
         dirty, self.dirty = self.dirty, set()
-        affected = sorted(
-            r for r, p in self.rows.items() if poly.poly_vars(p) & dirty
-        )
+        affected = sorted(set().union(*(self.var_rows.get(v, ()) for v in dirty)))
         for r in affected:
             p = self._remove_row(r)
             if p is not None:
                 self.enqueue(r, p)
         return bool(affected)
+
+
+def _index(index: dict, keys, ref: Ref):
+    for k in keys:
+        refs = index.get(k)
+        if refs is None:
+            index[k] = {ref}
+        else:
+            refs.add(ref)
+
+
+def _unindex(index: dict, keys, ref: Ref):
+    for k in keys:
+        refs = index[k]
+        refs.discard(ref)
+        if not refs:
+            del index[k]
 
 
 def _two_univariate(p: poly.Poly):
@@ -687,17 +715,22 @@ def _explore(state: DeductionState, depth: int) -> bool:
         return False
     closed = True
     for nz in (False, True):
-        child = state.clone()
-        child.branch = state.branch + ((v, nz),)
-        aref = child.emit("branch-open", [], ("assume", v, nz))
-        # cannot raise Contradiction: _pick_branch_var skips variables with a fact
-        if nz:
-            child.nonzero[v] = aref
-        else:
-            child.add_zero(v, aref)
-        if not _explore(child, depth + 1):
+        if not _explore(_open_branch(state, v, nz), depth + 1):
             closed = False
     return closed
+
+
+def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState:
+    """The child of state that assumes v != 0 (nz) or v == 0."""
+    child = state.clone()
+    child.branch = state.branch + ((v, nz),)
+    aref = child.emit("branch-open", [], ("assume", v, nz))
+    # cannot raise Contradiction: _pick_branch_var skips variables with a fact
+    if nz:
+        child.nonzero[v] = aref
+    else:
+        child.add_zero(v, aref)
+    return child
 
 
 def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:

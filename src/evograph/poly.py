@@ -5,6 +5,14 @@ monomial, (v,) linear, (v, w) quadratic (v == w for squares).  A
 polynomial maps monomials to nonzero Fraction coefficients.  Affine
 substitution keeps the degree bound, so the whole constraint pipeline
 stays inside this representation.
+
+No stored coefficient is ever zero.  ``poly_from_terms`` drops zero
+terms of its raw input; ``add_scaled`` and ``substitute_var`` keep the
+invariant given polynomials that already hold it: a monomial new to the
+result is stored as its product term, which is nonzero, a coefficient
+that cancels is deleted, and a zero multiplier ``lam`` returns ``p``
+unchanged.  Both the engine and the proof replayer compute with these
+functions, and the replayer reads ``lam`` from logs it does not trust.
 """
 
 from __future__ import annotations
@@ -26,27 +34,38 @@ def leading_mono(p: Poly) -> Mono:
     return min(p, key=mono_key)
 
 
+def _accumulate(out: Poly, mono: Mono, coeff: Fraction) -> None:
+    """out[mono] += coeff for a nonzero coeff, deleting a cancelled entry."""
+    old = out.get(mono)
+    if old is None:
+        out[mono] = coeff
+    else:
+        coeff += old
+        if coeff:
+            out[mono] = coeff
+        else:
+            del out[mono]
+
+
 def poly_from_terms(terms) -> Poly:
     out: Poly = {}
     for coeff, mono in terms:
-        mono = tuple(sorted(mono))
-        c = out.get(mono, Fraction(0)) + coeff
-        if c:
-            out[mono] = c
-        elif mono in out:
-            del out[mono]
+        if coeff:
+            _accumulate(out, tuple(sorted(mono)), coeff)
     return out
 
 
 def add_scaled(p: Poly, q: Poly, lam: Fraction) -> Poly:
     """p + lam * q as a fresh dict."""
     out = dict(p)
-    for m, c in q.items():
-        v = out.get(m, Fraction(0)) + lam * c
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
+    if not lam:
+        return out
+    if lam == 1:
+        for m, c in q.items():
+            _accumulate(out, m, c)
+    else:
+        for m, c in q.items():
+            _accumulate(out, m, lam * c)
     return out
 
 
@@ -63,30 +82,22 @@ def substitute_var(p: Poly, v: int, repl: Poly) -> Poly:
     if any(len(m) > 1 for m in repl):
         raise ValueError("replacement must be affine")
     out: Poly = {}
-
-    def emit(mono: Mono, coeff: Fraction):
-        c = out.get(mono, Fraction(0)) + coeff
-        if c:
-            out[mono] = c
-        elif mono in out:
-            del out[mono]
-
     for m, c in p.items():
         cnt = m.count(v)
         if cnt == 0:
-            emit(m, c)
+            _accumulate(out, m, c)
         elif len(m) == 1:  # (v,)
             for rm, rc in repl.items():
-                emit(rm, c * rc)
+                _accumulate(out, rm, c * rc)
         elif cnt == 1:  # (v, w)
             w = m[0] if m[1] == v else m[1]
             for rm, rc in repl.items():
-                emit(tuple(sorted(rm + (w,))), c * rc)
+                _accumulate(out, tuple(sorted(rm + (w,))), c * rc)
         else:  # (v, v)
             items = list(repl.items())
-            for i, (ma, ca) in enumerate(items):
+            for ma, ca in items:
                 for mb, cb in items:
-                    emit(tuple(sorted(ma + mb)), c * ca * cb)
+                    _accumulate(out, tuple(sorted(ma + mb)), c * ca * cb)
     return out
 
 

@@ -235,7 +235,10 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     ``TOL_NULL``) are discarded.  The best surviving point with residual
     max-norm below ``TOL_RESIDUAL`` is reconstructed entrywise and, if
     that succeeds, verified exactly; outcomes rank
-    verified-hom > candidate > none-found, ties by lowest restart index.
+    verified-hom > candidate > none-found.  Residuals within
+    ``TOL_RESIDUAL`` of the least, on the same side of ``TOL_RESIDUAL``,
+    tie, and ties go to the lowest restart index, so float noise in the
+    last bits does not pick the point.
     """
     n = g.n
     form = _MatrixForm(g)
@@ -243,18 +246,21 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
         -INIT_SCALE, INIT_SCALE, size=(cfg.restarts, n * n)
     )
     block = max(1, BLOCK_BYTES // (8 * n**4))
-    best: tuple[float, int, np.ndarray] | None = None  # residual, restart, point
+    found: list[tuple[float, int, np.ndarray]] = []  # residual, restart, point
     for first in range(0, cfg.restarts, block):
         X = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
         res = np.abs(form.residuals(X)).max(axis=1)
         for b, x in enumerate(X):
-            if np.max(np.abs(x)) < TOL_NULL:
-                continue
-            if best is None or res[b] < best[0]:
-                best = (float(res[b]), first + b, x)
-    if best is None:
+            if np.max(np.abs(x)) >= TOL_NULL:
+                found.append((float(res[b]), first + b, x))
+    if not found:
         return SearchOutcome(NONE_FOUND, float("inf"))
-    res, idx, x = best
+    least = min(f[0] for f in found)
+    res, idx, x = next(
+        f
+        for f in found
+        if f[0] <= least + TOL_RESIDUAL and (f[0] < TOL_RESIDUAL) == (least < TOL_RESIDUAL)
+    )
     T_float = HomCandidate.from_rows(
         [[float(x[i * n + k]) for k in range(n)] for i in range(n)]
     )

@@ -161,6 +161,14 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["outcome"] == "verified-hom" and payload["isomorphism"]
 
+    @pytest.mark.parametrize("command, key", [("prove", "verdict"), ("search", "outcome")])
+    def test_single_vertex_has_no_algebra(self, command, key):
+        code, out, _ = run_cli(command, "path:1")
+        assert code == 0 and f"{key}: no-random-walk-algebra" in out
+        code, out, _ = run_cli(command, "path:1", "--json")
+        assert code == 0
+        assert json.loads(out) == {key: "no-random-walk-algebra", "reason": "degree-0"}
+
     def test_sweep_rows_in_order(self):
         code, out, _ = run_cli("sweep", "tadpole:4,m for m in 1,3", "--fast", "--json")
         assert code == 0

@@ -1,12 +1,19 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from evograph import poly
 from evograph.cli import NO_FALSE_CERT_INSTANCES, NULL_ONLY_INSTANCES
 from evograph.deduce import (
     Budget,
+    Contradiction,
     DeductionState,
+    _open_branch,
+    _pick_branch_var,
     _Shared,
     apply_leaf_rules,
     apply_leaf_twin_cross_rules,
@@ -279,3 +286,51 @@ def test_single_vertex_stays_unknown():
     g = build_graph(1, [])
     verdict = prove_null_only(g)
     assert verdict.kind == "unknown"
+
+
+def _benchmark_certify_instances():
+    """The certify workloads' instances, read from the benchmark's own table."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.CERTIFY_TWINS + workloads.CERTIFY_CHAINS
+
+
+def _assert_indexes_match_rows(state):
+    mono_rows, var_rows = {}, {}
+    for ref, p in state.rows.items():
+        for m in p:
+            mono_rows.setdefault(m, set()).add(ref)
+        for v in poly.poly_vars(p):
+            var_rows.setdefault(v, set()).add(ref)
+    assert state.mono_rows == mono_rows
+    assert state.var_rows == var_rows
+
+
+def _saturate_or_close(state):
+    try:
+        saturate(state)
+    except Contradiction:
+        pass  # a closed branch keeps whatever rows it had; they must stay indexed
+
+
+@pytest.mark.parametrize("desc", _benchmark_certify_instances())
+def test_occurrence_indexes_match_rows(desc):
+    """Root and both children of its first split: indexes equal a rebuild."""
+    system, root = fresh_state(generate_family(desc))
+    apply_leaf_rules(root)
+    apply_leaf_twin_cross_rules(root)
+    for i, con in enumerate(system.constraints):
+        root.enqueue(("c", i), con.p)
+    _saturate_or_close(root)
+    _assert_indexes_match_rows(root)
+    v = _pick_branch_var(root)
+    if v is None:
+        return
+    for nz in (False, True):
+        child = _open_branch(root, v, nz)
+        _saturate_or_close(child)
+        _assert_indexes_match_rows(child)
+    _assert_indexes_match_rows(root)  # the children worked on copies

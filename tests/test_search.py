@@ -15,6 +15,7 @@ from evograph.graphs import (
     tadpole,
 )
 from evograph.homsystem import HomCandidate, derive_constraints, is_homomorphism_direct, residual
+from evograph import search
 from evograph.radicals import Radical
 from evograph.search import (
     NONE_FOUND,
@@ -210,3 +211,34 @@ class TestSearch:
             for k in range(1, 5):
                 moved[rot[i] - 1][rot[k] - 1] = out.exact.entry(i, k)
         assert is_homomorphism_direct(g, HomCandidate.from_rows(moved))
+
+
+class TestTieBreak:
+    """Residuals within TOL_RESIDUAL tie; the lowest restart index wins."""
+
+    @staticmethod
+    def search_over(monkeypatch, g, X):
+        monkeypatch.setattr(search, "_lm_minimize", lambda form, starts, max_iter: X)
+        return find_homomorphism(g, SearchConfig(restarts=len(X), seed=0))
+
+    def test_float_noise_does_not_pick_the_point(self, monkeypatch):
+        g = cycle_graph(3)
+        half = np.eye(3).reshape(-1) / 2
+        noisy = half.copy()
+        noisy[0] = np.nextafter(0.5, 1.0)
+        X = np.stack([noisy, half])
+        res = np.abs(_MatrixForm(g).residuals(X)).max(axis=1)
+        assert 0 == res[1] < res[0] < 1e-15  # two stacked points, float noise apart
+        out = self.search_over(monkeypatch, g, X)
+        assert out.kind == VERIFIED_HOM and out.restart_index == 0
+
+    def test_a_tie_does_not_cross_the_tolerance(self, monkeypatch):
+        g = cycle_graph(3)
+        half = np.eye(3).reshape(-1) / 2
+        X = np.stack([half, half])
+        X[0, 0] += 1.2 * TOL_RESIDUAL
+        X[1, 0] += 0.6 * TOL_RESIDUAL
+        res = np.abs(_MatrixForm(g).residuals(X)).max(axis=1)
+        assert res[1] < TOL_RESIDUAL < res[0] <= res[1] + TOL_RESIDUAL
+        out = self.search_over(monkeypatch, g, X)
+        assert out.kind == VERIFIED_HOM and out.restart_index == 1
