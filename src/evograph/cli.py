@@ -230,7 +230,8 @@ def cmd_prove(args) -> int:
     if _no_algebra(classify_regularity(g)):
         return _report_no_algebra(args, "verdict")
     verdict = prove_null_only(g, Budget(max_depth=args.depth))
-    payload = dump_log(verdict.log, derive_constraints(g))
+    if args.log_out or args.json:
+        payload = dump_log(verdict.log, derive_constraints(g))
     if args.log_out:
         with open(args.log_out, "w") as fh:
             fh.write(payload)

@@ -19,14 +19,21 @@ uses (as a set: a ref may repeat).  The replayer finally checks that the
 case-split tree is exhaustive (each split has both a "= 0" and a "!= 0"
 child) and that the claimed verdict follows.
 
-``load_log`` raises ``ValueError`` on any malformed input and on a log
-recorded for another graph.  Coefficients are written and read as exact
-decimal text of any length.
+``dump_log`` writes a log as one line of compact JSON.  ``load_log``
+reads any JSON encoding of the same document, so the indented logs that
+earlier versions wrote still load.  It raises ``ValueError`` on any
+malformed input and on a log recorded for another graph.  Coefficients
+are written and read as exact decimal text of any length.  Both run with
+the cyclic garbage collector paused: everything they build is acyclic,
+and the collector's repeated passes over millions of fresh containers
+would cost more than the encoding itself.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -133,8 +140,28 @@ def _conclusion_from_json(d: dict, var_of) -> tuple:
     raise ValueError(f"unknown conclusion kind {kind!r}")
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector.  Used as a decorator, so the function's
+    temporaries are freed before the collector resumes and its first pass
+    scans only what the function returns."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _var_names(sys: HomSystem) -> list[str]:
+    # a variable is named exactly as the system names it, t_i_k with i, k in 1..n
+    return [sys.var_name(v) for v in range(sys.num_vars)]
+
+
+@_gc_paused()
 def dump_log(log: ProofLog, sys: HomSystem) -> str:
-    name = sys.var_name
+    name = _var_names(sys).__getitem__
     payload = {
         "n": sys.n,
         "edges": sys.graph.edges(),
@@ -151,7 +178,7 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
             for s in log.steps
         ],
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def _payload_to_json(p: dict, name) -> dict:
@@ -182,9 +209,9 @@ def _payload_from_json(p: dict, var_of) -> dict:
     return out
 
 
+@_gc_paused()
 def load_log(text: str, sys: HomSystem) -> ProofLog:
-    # a variable is named exactly as the system names it, t_i_k with i, k in 1..n
-    names = {sys.var_name(v): v for v in range(sys.num_vars)}
+    names = {nm: v for v, nm in enumerate(_var_names(sys))}
 
     def var_of(nm: str) -> int:
         return names[nm]

@@ -183,6 +183,14 @@ class TestCommands:
         assert main(["sweep", "cycle:4", "--fast"]) == 1
         assert "soundness" in capsys.readouterr().err
 
+    def test_prove_without_output_writes_no_log(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("dump_log called with no log to write or print")
+
+        monkeypatch.setattr(cli, "dump_log", refuse)
+        assert main(["prove", "bull"]) == 0
+        assert "verdict: null-only" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [["search", "bull", "--fast"], ["paper", "--json"]])
     def test_unread_flags_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 import re
@@ -360,7 +362,8 @@ def test_coefficients_past_the_int_str_limit_round_trip():
     assert sys.get_int_max_str_digits() == limit
 
 
-# sha256 of dump_log on each corpus certificate: the engine's logs are pinned.
+# sha256 of each corpus certificate's document, written with indent=1 as
+# dump_log wrote it before logs became compact: the engine's logs are pinned.
 LOG_SHA256 = {
     "cmn:2,2": "96894a1e3b40fb6e6bbbc40ac6a0e8434b6bcb4c12195378de89f19cd8b66dd4",
     "cmn:2,3": "7bfbeccf2b53a6e3f2f116749747b63aba1b22978c3b90a3f372cd9496adab3c",
@@ -374,8 +377,56 @@ LOG_SHA256 = {
 }
 
 
+@functools.cache
+def _corpus_log(desc: str):
+    g = generate_family(desc)
+    sys_ = derive_constraints(g)
+    return sys_, dump_log(prove_null_only(g).log, sys_)
+
+
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
 def test_corpus_proof_logs_byte_identical(desc):
-    g = generate_family(desc)
-    text = dump_log(prove_null_only(g).log, derive_constraints(g))
-    assert hashlib.sha256(text.encode()).hexdigest() == LOG_SHA256[desc]
+    _, text = _corpus_log(desc)
+    assert text == json.dumps(json.loads(text), separators=(",", ":"))
+    indented = json.dumps(json.loads(text), indent=1)
+    assert hashlib.sha256(indented.encode()).hexdigest() == LOG_SHA256[desc]
+
+
+@pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
+def test_indented_logs_of_earlier_versions_load(desc):
+    # earlier versions wrote json.dumps(document, indent=1)
+    sys_, text = _corpus_log(desc)
+    document = json.loads(text)
+    assert replay_proof(sys_, load_log(json.dumps(document, indent=1), sys_))
+    step = next(s for s in document["steps"] if s["conclusion"]["kind"] == "zero")
+    step["conclusion"] = {"kind": "value", "var": step["conclusion"]["var"], "scalar": "1"}
+    res = replay_proof(sys_, load_log(json.dumps(document, indent=1), sys_))
+    assert not res and res.failure.index == step["id"]
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored(enabled, bull_proof, gc_state):
+    _, sys_, log = bull_proof
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    text = dump_log(log, sys_)
+    assert gc.isenabled() is enabled
+    load_log(text, sys_)
+    assert gc.isenabled() is enabled
+    for malformed in (text[: len(text) // 2], json.dumps({"steps": [{}]})):
+        with pytest.raises(ValueError):
+            load_log(malformed, sys_)
+        assert gc.isenabled() is enabled
