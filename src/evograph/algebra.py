@@ -9,7 +9,6 @@ adjacency algebra (M = adjacency matrix) and the random-walk algebra
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,19 +122,3 @@ def is_markov(alg: EvolutionAlgebra) -> bool:
         if sum(row) != 1:
             return False
     return True
-
-
-def dump_algebra(alg: EvolutionAlgebra) -> str:
-    """JSON dump: dimension, kind, rows as exact fraction strings."""
-    payload = {
-        "dimension": alg.n,
-        "kind": alg.kind,
-        "rows": [[str(c) for c in row] for row in alg.M],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def load_algebra(text: str) -> EvolutionAlgebra:
-    payload = json.loads(text)
-    rows = tuple(tuple(Fraction(c) for c in row) for row in payload["rows"])
-    return EvolutionAlgebra(payload["dimension"], rows, payload["kind"])

@@ -36,8 +36,8 @@ from .graphs import (
     parse_edge_list,
     twin_partition,
 )
-from .homsystem import derive_constraints, dump_system
-from .prooflog import NULL_ONLY, dump_log, replay_proof
+from .homsystem import derive_constraints
+from .prooflog import NULL_ONLY, dump_log, dump_system, replay_proof
 from .search import (
     NONE_FOUND,
     VERIFIED_HOM,
@@ -75,10 +75,6 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "AnalysisReport":
-        return AnalysisReport(**json.loads(text))
 
 
 def _no_algebra(reg) -> bool:
@@ -134,6 +130,9 @@ def analyze_graph(
         prediction=prediction,
         prediction_basis=basis,
     )
+    if prediction == PREDICT_NO_ALGEBRA:
+        report.verdict = PREDICT_NO_ALGEBRA
+        return report
     report.closed_form = closed_form_iso(g) is not None
     verdict = prove_null_only(g, budget)
     report.verdict = verdict.kind
@@ -144,7 +143,7 @@ def analyze_graph(
         )
     if verdict.kind == NULL_ONLY and log_out:
         with open(log_out, "w") as fh:
-            fh.write(dump_log(verdict.log, derive_constraints(g)))
+            fh.write(dump_log(verdict.log, verdict.system))
         report.proof_log_path = log_out
     if run_numeric:
         out = find_homomorphism(g, cfg)
@@ -231,7 +230,7 @@ def cmd_prove(args) -> int:
         return _report_no_algebra(args, "verdict")
     verdict = prove_null_only(g, Budget(max_depth=args.depth))
     if args.log_out or args.json:
-        payload = dump_log(verdict.log, derive_constraints(g))
+        payload = dump_log(verdict.log, verdict.system)
     if args.log_out:
         with open(args.log_out, "w") as fh:
             fh.write(payload)
@@ -339,7 +338,7 @@ def cmd_paper(args) -> int:
         g = generate_family(inst)
         t0 = time.time()
         verdict = prove_null_only(g, budget)
-        rep = replay_proof(derive_constraints(g), verdict.log)
+        rep = replay_proof(verdict.system, verdict.log)
         check(
             f"null-only certification {inst}",
             verdict.kind == NULL_ONLY and bool(rep),

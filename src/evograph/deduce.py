@@ -55,6 +55,7 @@ class Verdict:
     open_branches: int = 0
     reason: str = ""
     witness: HomCandidate | None = None
+    system: HomSystem | None = None  # the constraint system the log refers to
 
 
 class BudgetExhausted(Exception):
@@ -70,13 +71,14 @@ class Contradiction(Exception):
 
 
 class _Shared:
-    """Log shared across all branches."""
+    """Log shared across all branches, and what the open leaves left."""
 
     def __init__(self, sys: HomSystem, budget: Budget):
         self.sys = sys
         self.budget = budget
         self.log = ProofLog()
-        self.open_leaves: list["DeductionState"] = []
+        self.open_leaves = 0
+        self.witness: HomCandidate | None = None  # of the first open leaf that has one
         self.depth_cut = False
 
 
@@ -706,18 +708,23 @@ def _explore(state: DeductionState, depth: int) -> bool:
     if _try_close_null(state):
         return True
     v = _pick_branch_var(state)
-    if v is None:
-        state.shared.open_leaves.append(state)
-        return False
-    if depth >= state.shared.budget.max_depth:
-        state.shared.depth_cut = True
-        state.shared.open_leaves.append(state)
+    if v is None or depth >= state.shared.budget.max_depth:
+        _leave_open(state, cut=v is not None)
         return False
     closed = True
     for nz in (False, True):
         if not _explore(_open_branch(state, v, nz), depth + 1):
             closed = False
     return closed
+
+
+def _leave_open(state: DeductionState, cut: bool):
+    """Count an open leaf, and keep its witness if it is the first one found."""
+    sh = state.shared
+    sh.open_leaves += 1
+    sh.depth_cut |= cut
+    if sh.witness is None:
+        sh.witness = _leaf_witness(state)
 
 
 def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState:
@@ -754,56 +761,46 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
         closed = _explore(root, 0)
     except BudgetExhausted:
         shared.log.verdict = UNKNOWN
-        return Verdict(UNKNOWN, shared.log, open_branches=1, reason="budget-exhausted")
+        return Verdict(
+            UNKNOWN, shared.log, open_branches=1, reason="budget-exhausted", system=sys
+        )
     if closed:
         shared.log.verdict = NULL_ONLY
-        return Verdict(NULL_ONLY, shared.log)
-    witness = _extract_witness(shared)
-    if witness is not None:
+        return Verdict(NULL_ONLY, shared.log, system=sys)
+    if shared.witness is not None:
         shared.log.verdict = FOUND_STRUCTURE
-        return Verdict(
-            FOUND_STRUCTURE,
-            shared.log,
-            open_branches=len(shared.open_leaves),
-            reason="consistent nonzero assignment",
-            witness=witness,
-        )
-    shared.log.verdict = UNKNOWN
-    reason = "budget-exhausted" if shared.depth_cut else "open branches at fixpoint"
+        reason = "consistent nonzero assignment"
+    else:
+        shared.log.verdict = UNKNOWN
+        reason = "budget-exhausted" if shared.depth_cut else "open branches at fixpoint"
     return Verdict(
-        UNKNOWN,
+        shared.log.verdict,
         shared.log,
-        open_branches=len(shared.open_leaves),
+        open_branches=shared.open_leaves,
         reason=reason,
+        witness=shared.witness,
+        system=sys,
     )
 
 
-def _extract_witness(shared: _Shared) -> HomCandidate | None:
+def _leaf_witness(leaf: DeductionState) -> HomCandidate | None:
     """A fully valued open leaf with no live rows is a candidate solution."""
-    n = shared.sys.n
-    for leaf in shared.open_leaves:
-        if leaf.rows:
-            continue
-        entries = []
-        ok = False
-        complete = True
-        for i in range(1, n + 1):
-            row = []
-            for k in range(1, n + 1):
-                v = shared.sys.var(i, k)
-                if v in leaf.zeros:
-                    row.append(RadicalSum())
-                elif v in leaf.values:
-                    row.append(RadicalSum.from_radical(leaf.values[v][0]))
-                    ok = True
-                else:
-                    complete = False
-                    break
-            if not complete:
-                break
-            entries.append(tuple(row))
-        if complete and ok:
-            cand = HomCandidate(tuple(entries))
-            if is_homomorphism_direct(shared.sys.graph, cand):
-                return cand
-    return None
+    if leaf.rows:
+        return None
+    sys = leaf.sys
+    entries = []
+    ok = False
+    for i in range(1, sys.n + 1):
+        row = []
+        for k in range(1, sys.n + 1):
+            v = sys.var(i, k)
+            if v in leaf.zeros:
+                row.append(RadicalSum())
+            elif v in leaf.values:
+                row.append(RadicalSum.from_radical(leaf.values[v][0]))
+                ok = True
+            else:
+                return None
+        entries.append(tuple(row))
+    cand = HomCandidate(tuple(entries))
+    return cand if ok and is_homomorphism_direct(sys.graph, cand) else None

@@ -17,7 +17,6 @@ what ties the two routes together in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,22 +212,3 @@ def rank(rows) -> int:
 
 def _coerce_radical(x) -> RadicalSum:
     return x if isinstance(x, RadicalSum) else RadicalSum.from_rational(x)
-
-
-def dump_system(sys: HomSystem) -> str:
-    """JSON dump of variables and constraints with exact coefficients."""
-    payload = {
-        "n": sys.n,
-        "variables": [sys.var_name(v) for v in range(sys.num_vars)],
-        "constraints": [
-            {
-                "tag": c.tag,
-                "terms": [
-                    {"coeff": str(coeff), "monomial": [sys.var_name(v) for v in mono]}
-                    for mono, coeff in sorted(c.p.items(), key=lambda kv: poly.mono_key(kv[0]))
-                ],
-            }
-            for c in sys.constraints
-        ],
-    }
-    return json.dumps(payload, indent=2)

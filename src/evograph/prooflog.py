@@ -19,14 +19,24 @@ uses (as a set: a ref may repeat).  The replayer finally checks that the
 case-split tree is exhaustive (each split has both a "= 0" and a "!= 0"
 child) and that the claimed verdict follows.
 
+The JSON document is declared once.  ``CONCLUSIONS`` lists each
+conclusion kind's fields in order, and ``_fields`` gives one (write,
+read) pair for each field not stored as it is held: variables by name,
+rows as terms, exact scalars and coefficients as text, refs as lists.
+Payload keys of the same name use the same pairs.  ``dump_log``,
+``load_log`` and ``dump_system`` (the document ``evograph derive``
+prints) all go through that one declaration.
+
 ``dump_log`` writes a log as one line of compact JSON.  ``load_log``
 reads any JSON encoding of the same document, so the indented logs that
 earlier versions wrote still load.  It raises ``ValueError`` on any
 malformed input and on a log recorded for another graph.  Coefficients
-are written and read as exact decimal text of any length.  Both run with
-the cyclic garbage collector paused: everything they build is acyclic,
-and the collector's repeated passes over millions of fresh containers
-would cost more than the encoding itself.
+are written and read as exact decimal text of any length.  A value's
+scalar is read only in the text ``str(Radical)`` writes, and built as
+written: nothing is factored while a log loads.  Both run with the
+cyclic garbage collector paused: everything they build is acyclic, and
+the collector's repeated passes over millions of fresh containers would
+cost more than the encoding itself.
 """
 
 from __future__ import annotations
@@ -55,9 +65,7 @@ class Step:
     rule: str
     branch: tuple[Literal, ...]
     premises: tuple[Ref, ...]
-    conclusion: tuple  # tagged: ("zero", v) | ("value", v, Radical) | ("mutex", vars)
-    #         | ("row", Poly) | ("contradiction",) | ("assume", v, bool)
-    #         | ("closed", "null"|"contradiction") | ("null-map",)
+    conclusion: tuple  # (kind, *fields), as CONCLUSIONS declares
     payload: dict = field(default_factory=dict)
 
 
@@ -87,57 +95,70 @@ class ReplayResult:
         return self.ok
 
 
-# -- serialization ------------------------------------------------------------
+# -- the document --------------------------------------------------------------
 
-def _poly_to_json(p: poly.Poly, name) -> list:
-    return [
-        {"coeff": fraction_str(c), "monomial": [name(v) for v in m]}
-        for m, c in sorted(p.items(), key=lambda kv: poly.mono_key(kv[0]))
-    ]
-
-
-def _poly_from_json(terms: list, var_of) -> poly.Poly:
-    return poly.poly_from_terms(
-        (parse_fraction(t["coeff"]), tuple(var_of(x) for x in t["monomial"])) for t in terms
-    )
-
-
-def _conclusion_to_json(c: tuple, name) -> dict:
-    kind = c[0]
-    if kind == "zero":
-        return {"kind": "zero", "var": name(c[1])}
-    if kind == "value":
-        return {"kind": "value", "var": name(c[1]), "scalar": str(c[2])}
-    if kind == "mutex":
-        return {"kind": "mutex", "vars": [name(v) for v in c[1]]}
-    if kind == "row":
-        return {"kind": "row", "terms": _poly_to_json(c[1], name)}
-    if kind == "assume":
-        return {"kind": "assume", "var": name(c[1]), "sign": "nonzero" if c[2] else "zero"}
-    if kind == "closed":
-        return {"kind": "closed", "how": c[1]}
-    if kind in ("contradiction", "null-map"):
-        return {"kind": kind}
-    raise ValueError(f"unknown conclusion {c!r}")
+# Each conclusion kind and its fields, in order: the conclusion
+# (kind, x, y) is the object {"kind": kind, fields[0]: x, fields[1]: y}.
+CONCLUSIONS = {
+    "zero": ("var",),
+    "value": ("var", "scalar"),
+    "mutex": ("vars",),
+    "row": ("terms",),
+    "assume": ("var", "sign"),
+    "closed": ("how",),
+    "contradiction": (),
+    "null-map": (),
+}
+_SIGNS = {"zero": False, "nonzero": True}
 
 
-def _conclusion_from_json(d: dict, var_of) -> tuple:
-    kind = d["kind"]
-    if kind == "zero":
-        return ("zero", var_of(d["var"]))
-    if kind == "value":
-        return ("value", var_of(d["var"]), Radical.parse(d["scalar"]))
-    if kind == "mutex":
-        return ("mutex", tuple(var_of(v) for v in d["vars"]))
-    if kind == "row":
-        return ("row", _poly_from_json(d["terms"], var_of))
-    if kind == "assume":
-        return ("assume", var_of(d["var"]), d["sign"] == "nonzero")
-    if kind == "closed":
-        return ("closed", d["how"])
-    if kind in ("contradiction", "null-map"):
-        return (kind,)
-    raise ValueError(f"unknown conclusion kind {kind!r}")
+def _fields(sys: HomSystem) -> dict[str, tuple]:
+    """(write, read) for each field not stored as it is held: conclusion
+    fields, and payload keys of the same name.  A variable is named as the
+    system names it, t_i_k with i, k in 1..n."""
+    names = [sys.var_name(v) for v in range(sys.num_vars)]
+    name, var = names.__getitem__, {nm: v for v, nm in enumerate(names)}.__getitem__
+
+    def write_terms(p: poly.Poly) -> list:
+        return [
+            {"coeff": fraction_str(c), "monomial": [name(v) for v in m]}
+            for m, c in sorted(p.items(), key=lambda kv: poly.mono_key(kv[0]))
+        ]
+
+    def read_terms(terms: list) -> poly.Poly:
+        return poly.poly_from_terms(
+            (parse_fraction(t["coeff"]), tuple(var(x) for x in t["monomial"])) for t in terms
+        )
+
+    ref = (list, tuple)
+    return {
+        "var": (name, var),
+        "vars": (lambda vs: [name(v) for v in vs], lambda xs: tuple(var(x) for x in xs)),
+        "scalar": (str, Radical.parse),
+        "terms": (write_terms, read_terms),
+        "sign": (lambda nz: "nonzero" if nz else "zero", _SIGNS.__getitem__),
+        "parts": (
+            lambda parts: [[list(r), fraction_str(lam)] for r, lam in parts],
+            lambda parts: [(tuple(r), parse_fraction(lam)) for r, lam in parts],
+        ),
+        "src": ref,
+        "def": ref,
+    }
+
+
+def _codec(sys: HomSystem, side: int) -> tuple[dict, dict]:
+    """The writers (side 0) or readers (side 1): by field, and as
+    (field, function) pairs by conclusion kind."""
+    by_field = {f: pair[side] for f, pair in _fields(sys).items()}
+    by_kind = {
+        kind: tuple((f, by_field.get(f, _as_is)) for f in fields)
+        for kind, fields in CONCLUSIONS.items()
+    }
+    return by_field, by_kind
+
+
+def _as_is(x):
+    return x
 
 
 @contextmanager
@@ -154,15 +175,18 @@ def _gc_paused():
             gc.enable()
 
 
-def _var_names(sys: HomSystem) -> list[str]:
-    # a variable is named exactly as the system names it, t_i_k with i, k in 1..n
-    return [sys.var_name(v) for v in range(sys.num_vars)]
-
-
 @_gc_paused()
 def dump_log(log: ProofLog, sys: HomSystem) -> str:
-    name = _var_names(sys).__getitem__
-    payload = {
+    write, by_kind = _codec(sys, 0)
+    var, sign = write["var"], write["sign"]
+
+    def conclusion(c: tuple) -> dict:
+        out = {"kind": c[0]}
+        for (f, w), x in zip(by_kind[c[0]], c[1:]):
+            out[f] = w(x)
+        return out
+
+    document = {
         "n": sys.n,
         "edges": sys.graph.edges(),
         "verdict": log.verdict,
@@ -170,51 +194,24 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
             {
                 "id": s.sid,
                 "rule": s.rule,
-                "branch": [[name(v), "nonzero" if nz else "zero"] for v, nz in s.branch],
+                "branch": [[var(v), sign(nz)] for v, nz in s.branch],
                 "premises": [list(r) for r in s.premises],
-                "conclusion": _conclusion_to_json(s.conclusion, name),
-                "payload": _payload_to_json(s.payload, name),
+                "conclusion": conclusion(s.conclusion),
+                "payload": {k: write[k](x) if k in write else x for k, x in s.payload.items()},
             }
             for s in log.steps
         ],
     }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def _payload_to_json(p: dict, name) -> dict:
-    out = {}
-    for k, v in p.items():
-        if k == "parts":
-            out[k] = [[list(ref), fraction_str(lam)] for ref, lam in v]
-        elif k == "var":
-            out[k] = name(v)
-        elif k in ("src", "def"):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
-
-
-def _payload_from_json(p: dict, var_of) -> dict:
-    out = {}
-    for k, v in p.items():
-        if k == "parts":
-            out[k] = [(tuple(ref), parse_fraction(lam)) for ref, lam in v]
-        elif k == "var":
-            out[k] = var_of(v)
-        elif k in ("src", "def"):
-            out[k] = tuple(v)
-        else:
-            out[k] = v
-    return out
+    return json.dumps(document, separators=(",", ":"))
 
 
 @_gc_paused()
 def load_log(text: str, sys: HomSystem) -> ProofLog:
-    names = {nm: v for v, nm in enumerate(_var_names(sys))}
+    read, by_kind = _codec(sys, 1)
+    var, sign = read["var"], read["sign"]
 
-    def var_of(nm: str) -> int:
-        return names[nm]
+    def conclusion(d: dict) -> tuple:
+        return (d["kind"], *(r(d[f]) for f, r in by_kind[d["kind"]]))
 
     try:
         data = json.loads(text)
@@ -222,22 +219,34 @@ def load_log(text: str, sys: HomSystem) -> ProofLog:
             Step(
                 sid=d["id"],
                 rule=d["rule"],
-                branch=tuple((var_of(v), sign == "nonzero") for v, sign in d["branch"]),
+                branch=tuple((var(v), sign(s)) for v, s in d["branch"]),
                 premises=tuple(tuple(r) for r in d["premises"]),
-                conclusion=_conclusion_from_json(d["conclusion"], var_of),
-                payload=_payload_from_json(d.get("payload", {}), var_of),
+                conclusion=conclusion(d["conclusion"]),
+                payload={
+                    k: read[k](x) if k in read else x for k, x in d.get("payload", {}).items()
+                },
             )
             for d in data["steps"]
         ]
         graph = (data["n"], data["edges"])
         log = ProofLog(steps=steps, verdict=data["verdict"])
-    except (
-        AttributeError, IndexError, KeyError, RecursionError, TypeError, ZeroDivisionError
-    ) as exc:
+    except (AttributeError, IndexError, KeyError, RecursionError, TypeError) as exc:
         raise ValueError(f"malformed proof log: {exc!r}") from exc
     if graph != (sys.n, [list(e) for e in sys.graph.edges()]):
         raise ValueError("the proof log was recorded for another graph")
     return log
+
+
+def dump_system(sys: HomSystem) -> str:
+    """The constraint system as JSON: variable names, and each constraint's
+    tag and terms, written as a log writes a row."""
+    write = _codec(sys, 0)[0]
+    document = {
+        "n": sys.n,
+        "variables": [write["var"](v) for v in range(sys.num_vars)],
+        "constraints": [{"tag": c.tag, "terms": write["terms"](c.p)} for c in sys.constraints],
+    }
+    return json.dumps(document, indent=2)
 
 
 # -- replay -------------------------------------------------------------------

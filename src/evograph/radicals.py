@@ -195,6 +195,7 @@ def _normalize(coeff: Fraction, exponents: dict[int, Fraction]) -> tuple[Fractio
 _PIECE = 600
 _TEN_PIECE = 10**_PIECE
 _FRACTION = re.compile(r"\s*(-?)([0-9]+)(?:/([0-9]+))?\s*")
+_FACTOR = re.compile(r"([0-9]+)\^\(([0-9]+/[0-9]+)\)")
 # The longest numerator or denominator parse_fraction reads.  Engine logs on
 # graphs with up to 6 vertices carry at most 48 466 digits.  Reading a fraction
 # of two random numbers at this cap takes 0.18 s on one Xeon core, mostly in
@@ -233,7 +234,10 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a fraction: {text[:50]!r}")
     if max(len(m[2]), len(m[3] or "")) > MAX_DIGITS:
         raise ValueError(f"fraction longer than {MAX_DIGITS} digits")
-    q = Fraction(_digits_int(m[2]), _digits_int(m[3] or "1"))
+    den = _digits_int(m[3] or "1")
+    if not den:
+        raise ValueError("zero denominator")
+    q = Fraction(_digits_int(m[2]), den)
     return -q if m[1] else q
 
 
@@ -350,22 +354,32 @@ class Radical:
 
     @staticmethod
     def parse(text: str) -> "Radical":
-        chunks = text.strip().split("*")
-        coeff = parse_fraction(chunks[0])
-        exps: dict[int, Fraction] = {}
-        for chunk in chunks[1:]:
-            base, _, expo = chunk.partition("^")
-            e = Fraction(expo.strip().strip("()"))
-            b = int(base)
-            if b < 0 or (b == 0 and e <= 0):
-                raise ValueError(f"radical base {b} with exponent {e} in {text!r}")
-            if b == 0:
-                coeff = Fraction(0)
-                continue
-            for p, k in _factorize(b).items():
-                exps[p] = exps.get(p, Fraction(0)) + k * e
-        c, parts = _normalize(coeff, exps)
-        return Radical(c, parts)
+        """The radical whose ``str`` is ``text``, built as written.
+
+        Only that text is read: a coefficient as ``fraction_str`` writes
+        it, nonzero when factors follow, then factors ``*p^(a/b)`` with
+        bases strictly ascending from 2 and exponents in (0, 1).  Nothing
+        is factored, and any other text raises ``ValueError``.  Bases are
+        not tested for primality: a step that states a value is checked
+        against the canonical value computed from its premises.
+        """
+        head, *factors = text.split("*")
+        parts = []
+        for factor in factors:
+            m = _FACTOR.fullmatch(factor)
+            if m is None or len(m[1]) > MAX_DIGITS:
+                raise ValueError(f"not a radical factor: {factor[:50]!r}")
+            parts.append((_digits_int(m[1]), parse_fraction(m[2])))
+        r = Radical(parse_fraction(head), tuple(parts))
+        bases = [1] + [p for p, _ in parts]
+        if (
+            (parts and not r.coeff)
+            or any(a >= b for a, b in zip(bases, bases[1:]))
+            or any(not 0 < e < 1 for _, e in parts)
+            or str(r) != text
+        ):
+            raise ValueError(f"not a radical as str writes it: {text[:50]!r}")
+        return r
 
 
 class RadicalSum:

@@ -28,14 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, classify_regularity
-from .homsystem import (
-    HomCandidate,
-    HomSystem,
-    derive_constraints,
-    is_homomorphism_direct,
-    is_isomorphism,
-    residual,
-)
+from .homsystem import HomCandidate, HomSystem, is_homomorphism_direct, is_isomorphism
 from .radicals import Radical, RadicalSum
 
 NONE_FOUND = "none-found"
@@ -303,11 +296,8 @@ def closed_form_iso(g: Graph) -> HomCandidate | None:
                 for i in range(1, g.n + 1)
             ]
         )
-    sys = derive_constraints(g)
-    floatT = HomCandidate.from_rows(
-        [[float(x) for x in row] for row in cand.entries]
-    )
-    backup = residual(sys, floatT).max_norm
+    x = np.array([[float(v) for v in row] for row in cand.entries]).reshape(1, -1)
+    backup = np.abs(_MatrixForm(g).residuals(x)).max()
     if backup >= 1e-12:
         raise AssertionError(f"closed form failed the numeric backup check: {backup}")
     return cand

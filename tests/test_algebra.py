@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evograph.algebra import (
+    RANDOM_WALK,
     DimensionMismatch,
     Element,
+    EvolutionAlgebra,
     build_adjacency_algebra,
     build_rw_algebra,
-    dump_algebra,
     is_markov,
-    load_algebra,
     multiply,
 )
 from evograph.graphs import build_graph, bull_graph, cycle_graph, path_graph, tadpole
@@ -122,10 +122,15 @@ class TestMarkov:
         assert is_markov(build_adjacency_algebra(path_graph(2)))
 
 
-def test_dump_load_round_trip():
-    alg = build_rw_algebra(bull_graph())
-    again = load_algebra(dump_algebra(alg))
-    assert again == alg
+def test_algebra_is_its_exact_structure_matrix():
+    g = bull_graph()
+    rows = tuple(
+        tuple(Fraction(g.adj[i - 1][k], g.degree(i)) for k in range(g.n)) for i in g.vertices()
+    )
+    alg = build_rw_algebra(g)
+    assert alg == EvolutionAlgebra(g.n, rows, RANDOM_WALK)
+    assert all(type(c) is Fraction for row in alg.M for c in row)
+    assert alg != build_adjacency_algebra(g)
 
 
 def test_single_vertex_has_no_random_walk_algebra():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import evograph
-from evograph import cli
+from evograph import cli, deduce, homsystem, search
 from evograph.cli import (
     AnalysisReport,
     InvalidRange,
@@ -18,6 +19,7 @@ from evograph.cli import (
 )
 from evograph.deduce import Verdict
 from evograph.graphs import classify_regularity, generate_family, is_singular, parse_edge_list
+from evograph.homsystem import derive_constraints
 from evograph.prooflog import NULL_ONLY, ProofLog
 
 
@@ -73,8 +75,7 @@ class TestReports:
         report = analyze_graph(
             generate_family("bull"), "bull", run_numeric=False
         )
-        again = AnalysisReport.from_json(report.to_json())
-        assert again == report
+        assert json.loads(report.to_json()) == dataclasses.asdict(report)
 
     def test_prediction_logic(self):
         cases = {
@@ -117,10 +118,19 @@ class TestCommands:
         assert code == 0 and "regular of degree 0" in out
 
     def test_analyze_single_vertex_json(self):
-        code, out, _ = run_cli("analyze", "path:1", "--fast", "--json")
-        payload = json.loads(out)
-        assert code == 0 and payload["closed_form"] is False
-        assert (payload["prediction"], payload["prediction_basis"]) == ("no-random-walk-algebra", "degree-0")
+        # neither deduction nor search runs without a random-walk algebra
+        for fast in (["--fast"], []):
+            code, out, _ = run_cli("analyze", "path:1", *fast, "--json")
+            payload = json.loads(out)
+            assert code == 0 and payload["closed_form"] is False
+            assert (payload["prediction"], payload["prediction_basis"]) == ("no-random-walk-algebra", "degree-0")
+            assert (payload["verdict"], payload["open_branches"], payload["numeric"]) == (
+                "no-random-walk-algebra", 0, None
+            )
+            code, out, _ = run_cli("sweep", "path:1", *fast, "--json")
+            [row] = json.loads(out)
+            assert code == 0
+            assert (row["verdict"], row["numeric"]) == ("no-random-walk-algebra", "skipped")
 
     def test_analyze_rejects_disconnected_file(self, tmp_path):
         bad = tmp_path / "two_pieces.txt"
@@ -190,6 +200,30 @@ class TestCommands:
         monkeypatch.setattr(cli, "dump_log", refuse)
         assert main(["prove", "bull"]) == 0
         assert "verdict: null-only" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, derivations",
+        [
+            (["analyze", "star:3", "--fast"], 1),
+            (["analyze", "cycle:4", "--fast"], 1),
+            (["analyze", "bull", "--fast", "--log-out", "LOG"], 1),
+            (["prove", "bull", "--json"], 1),
+            (["paper", "--fast"], 15),
+        ],
+        ids=["analyze-star", "analyze-cycle", "analyze-log-out", "prove-json", "paper-fast"],
+    )
+    def test_one_derivation_per_graph(self, argv, derivations, monkeypatch, capsys, tmp_path):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return derive_constraints(g)
+
+        for module in (homsystem, deduce, cli, search):
+            if hasattr(module, "derive_constraints"):
+                monkeypatch.setattr(module, "derive_constraints", counted)
+        assert main([str(tmp_path / "log.json") if a == "LOG" else a for a in argv]) == 0
+        assert len(calls) == derivations
 
     @pytest.mark.parametrize("argv", [["search", "bull", "--fast"], ["paper", "--json"]])
     def test_unread_flags_rejected(self, argv):

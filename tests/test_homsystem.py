@@ -16,11 +16,11 @@ from evograph.graphs import (
 from evograph.homsystem import (
     HomCandidate,
     derive_constraints,
-    dump_system,
     is_homomorphism_direct,
     is_isomorphism,
     residual,
 )
+from evograph.prooflog import dump_system
 
 from test_graphs import connected_graphs
 

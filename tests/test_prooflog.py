@@ -20,6 +20,7 @@ from evograph.graphs import build_graph, bull_graph, generate_family
 from evograph.homsystem import derive_constraints
 from evograph.prooflog import (
     CHECKS,
+    CONCLUSIONS,
     NULL_ONLY,
     RULES,
     ProofLog,
@@ -276,6 +277,52 @@ def test_forged_long_coefficient_rejected_quickly(field, bull_proof):
     with pytest.raises(ValueError):
         load_log(text, sys)
     assert time.perf_counter() - start < 1.0
+
+
+# Scalars str never writes: each must be rejected as it is read, quickly.
+FORGED_SCALARS = [
+    "1*2^(100000000000)",
+    "1*2^(1e11)",
+    "1*2^(3/2)",
+    "1*2^(2/4)",
+    "1*3^(1/2)*2^(1/2)",
+    "1*2^(1/2)*2^(1/3)",
+    "1*0^(1/2)",
+    "0*2^(1/3)",
+    " 1*2^(1/3)",
+]
+
+
+@pytest.mark.parametrize("scalar", FORGED_SCALARS)
+def test_scalar_not_as_str_writes_it_rejected_quickly(scalar, bull_proof):
+    _, sys, log = bull_proof
+    payload = json.loads(dump_log(log, sys))
+    _forge_coefficient(payload, "scalar", scalar)
+    text = json.dumps(payload)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        load_log(text, sys)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "scalar", ["1*4^(1/3)", f"1*{(10**19 + 51) * (10**20 + 39)}^(1/2)"], ids=["square", "two-primes"]
+)
+def test_forged_composite_base_loads_and_is_rejected_quickly(scalar, bull_proof):
+    # the scalar is read as written, without factoring; replay compares it
+    # with the canonical value and rejects the step
+    _, sys, log = bull_proof
+    payload = json.loads(dump_log(log, sys))
+    _forge_coefficient(payload, "scalar", scalar)
+    start = time.perf_counter()
+    forged = load_log(json.dumps(payload), sys)
+    res = replay_proof(sys, forged)
+    assert not res and time.perf_counter() - start < 1.0
+    assert any(s.conclusion[0] == "value" and str(s.conclusion[2]) == scalar for s in forged.steps)
+
+
+def test_checks_state_exactly_the_declared_conclusion_kinds():
+    assert {kind for kinds, _ in CHECKS.values() for kind in kinds} == set(CONCLUSIONS)
 
 
 def _edge_list_graph(spec: str):

@@ -66,14 +66,6 @@ def test_parse_round_trip(q):
     assert Radical.parse(str(r)) == r
 
 
-@pytest.mark.parametrize(
-    "text, expected",
-    [("1*4^(1/3)", Radical.root(4, 3)), ("1*0^(1/2)", Radical.from_rational(0))],
-)
-def test_parse_canonicalizes(text, expected):
-    assert Radical.parse(text) == expected
-
-
 def test_root_factors_a_large_cofactor():
     # trial division alone never reaches the 22-digit prime factor
     primes = (41, 1093, 35817547837, 3811832244955903262249)
