@@ -15,9 +15,13 @@ conclusion kinds the step may state and the check that validates it,
 and a pair not in the table is rejected.  The three premise-free leaf
 rules are checked against tables of admissible conclusions computed once
 from the graph.  A step's premises must be exactly the refs its check
-uses (as a set: a ref may repeat).  The replayer finally checks that the
-case-split tree is exhaustive (each split has both a "= 0" and a "!= 0"
-child) and that the claimed verdict follows.
+uses (as a set: a ref may repeat).  A ``substitute`` step's row is fully
+determined by its premises and payload, so it need not be stated: its
+conclusion may be ``derived``, and the replayer then takes the row its
+check computes as the step's conclusion.  A stated row is compared with
+that row.  The replayer finally checks that the case-split tree is
+exhaustive (each split has both a "= 0" and a "!= 0" child) and that the
+claimed verdict follows.
 
 The JSON document is declared once.  ``CONCLUSIONS`` lists each
 conclusion kind's fields in order, and ``_fields`` gives one (write,
@@ -25,7 +29,10 @@ read) pair for each field not stored as it is held: variables by name,
 rows as terms, exact scalars and coefficients as text, refs as lists.
 Payload keys of the same name use the same pairs.  ``dump_log``,
 ``load_log`` and ``dump_system`` (the document ``evograph derive``
-prints) all go through that one declaration.
+prints) all go through that one declaration.  ``dump_log`` writes every
+conclusion ``CHECKS`` lets the replayer derive as ``{"kind": "derived"}``
+and states all others; logs whose ``substitute`` rows are stated, as
+earlier versions wrote them, still load and replay.
 
 ``dump_log`` writes a log as one line of compact JSON.  ``load_log``
 reads any JSON encoding of the same document, so the indented logs that
@@ -45,6 +52,7 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from fractions import Fraction
 
 from . import poly
@@ -108,6 +116,7 @@ CONCLUSIONS = {
     "closed": ("how",),
     "contradiction": (),
     "null-map": (),
+    "derived": (),
 }
 _SIGNS = {"zero": False, "nonzero": True}
 
@@ -146,6 +155,12 @@ def _fields(sys: HomSystem) -> dict[str, tuple]:
     }
 
 
+def _table_key(step: Step) -> tuple:
+    """The step's key in CHECKS: its rule, and the payload's "op" for
+    ``substitute``, its "mode" otherwise, ``None`` when absent."""
+    return step.rule, step.payload.get("op" if step.rule == "substitute" else "mode")
+
+
 def _codec(sys: HomSystem, side: int) -> tuple[dict, dict]:
     """The writers (side 0) or readers (side 1): by field, and as
     (field, function) pairs by conclusion kind."""
@@ -180,7 +195,10 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
     write, by_kind = _codec(sys, 0)
     var, sign = write["var"], write["sign"]
 
-    def conclusion(c: tuple) -> dict:
+    def conclusion(s: Step) -> dict:
+        if _table_key(s) in DERIVED:
+            return {"kind": "derived"}
+        c = s.conclusion
         out = {"kind": c[0]}
         for (f, w), x in zip(by_kind[c[0]], c[1:]):
             out[f] = w(x)
@@ -196,7 +214,7 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
                 "rule": s.rule,
                 "branch": [[var(v), sign(nz)] for v, nz in s.branch],
                 "premises": [list(r) for r in s.premises],
-                "conclusion": conclusion(s.conclusion),
+                "conclusion": conclusion(s),
                 "payload": {k: write[k](x) if k in write else x for k, x in s.payload.items()},
             }
             for s in log.steps
@@ -295,11 +313,18 @@ def _leaf_axioms(sys: HomSystem) -> dict[str, set[tuple]]:
     return {"leaf-mutex": mutex, "leaf-twin-zero": twin_zero, "leaf-twin-cross": cross}
 
 
+class _Derived(NamedTuple):
+    branch: tuple[Literal, ...]
+    conclusion: tuple  # ("row", the row the replayer computed)
+
+
 class _Replayer:
     def __init__(self, sys: HomSystem, log: ProofLog):
         self.sys = sys
         self.log = log
-        self.steps: dict[int, Step] = {}
+        # each validated step by id; a derived step as its branch and the
+        # row its check computed
+        self.steps: dict[int, Step | _Derived] = {}
         self.axioms = _leaf_axioms(sys)
         # case tree of the validated steps: closed paths, variables split at a path
         self.closes: set[tuple[Literal, ...]] = set()
@@ -310,20 +335,20 @@ class _Replayer:
         for step in self.log.steps:
             self.used = set()
             try:
-                mode = step.payload.get("op" if step.rule == "substitute" else "mode")
-                if (step.rule, mode) not in CHECKS:
-                    raise InvalidStep(step.sid, f"unknown rule {step.rule!r} with mode {mode!r}")
-                kinds, check = CHECKS[step.rule, mode]
+                key = _table_key(step)
+                if key not in CHECKS:
+                    raise InvalidStep(step.sid, f"unknown rule {key[0]!r} with mode {key[1]!r}")
+                kinds, check = CHECKS[key]
                 if step.sid in self.steps:
                     raise InvalidStep(step.sid, "duplicate step id")
                 if step.conclusion[0] not in kinds:
                     raise InvalidStep(step.sid, f"{step.rule} cannot conclude {step.conclusion[0]!r}")
-                check(self, step)
+                row = check(self, step)
                 if set(step.premises) != self.used:
                     raise InvalidStep(step.sid, "premises are not the refs the rule uses")
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise InvalidStep(step.sid, f"malformed step: {exc!r}") from exc
-            self.steps[step.sid] = step
+            self.steps[step.sid] = step if row is None else _Derived(step.branch, ("row", row))
         if self.log.verdict == NULL_ONLY and not self._closed(()):
             raise InvalidStep(-1, "verdict null-only but the case tree is not closed")
 
@@ -437,7 +462,16 @@ class _Replayer:
                 rest[m] = c
         return rest, const
 
-    # the checks CHECKS names ----------------------------------------------------
+    def _row_concluded(self, step: Step, row: poly.Poly, what: str) -> poly.Poly | None:
+        """The row a derived step concludes; a stated row must equal it."""
+        if step.conclusion[0] == "derived":
+            return row
+        if row != step.conclusion[1]:
+            self.fail(step, f"{what} does not reproduce the row")
+        return None
+
+    # the checks CHECKS names: each returns the row a derived step
+    # concludes, None when the step states its conclusion -----------------------
 
     def _axiom(self, step: Step):
         kind, arg = step.conclusion[0], step.conclusion[1]
@@ -452,15 +486,13 @@ class _Replayer:
         acc: poly.Poly = {}
         for ref, lam in step.payload["parts"]:
             acc = poly.add_scaled(acc, self.row_of(ref, step), lam)
-        if acc != step.conclusion[1]:
-            self.fail(step, "linear combination does not reproduce the row")
+        return self._row_concluded(step, acc, "linear combination")
 
     def _subst(self, step: Step):
         src = self.row_of(step.payload["src"], step)
         v = step.payload["var"]
         repl = self._replacement(step.payload["def"], v, step)
-        if poly.substitute_var(src, v, repl) != step.conclusion[1]:
-            self.fail(step, "substitution does not reproduce the row")
+        return self._row_concluded(step, poly.substitute_var(src, v, repl), "substitution")
 
     def _square_sum_zero(self, step: Step):
         v = step.conclusion[1]
@@ -624,13 +656,13 @@ class _Replayer:
 
 # Everything the replayer accepts, and nothing else: (rule, mode) ->
 # (conclusion kinds the step may state, check).  One entry per pair the
-# engine emits.
+# engine emits.  "derived" marks the pairs whose check computes the row.
 CHECKS = {
     ("leaf-mutex", None): ({"mutex"}, _Replayer._axiom),
     ("leaf-twin-zero", None): ({"zero"}, _Replayer._axiom),
     ("leaf-twin-cross", None): ({"zero", "row"}, _Replayer._axiom),
-    ("substitute", "lincomb"): ({"row"}, _Replayer._lincomb),
-    ("substitute", "subst"): ({"row"}, _Replayer._subst),
+    ("substitute", "lincomb"): ({"row", "derived"}, _Replayer._lincomb),
+    ("substitute", "subst"): ({"row", "derived"}, _Replayer._subst),
     ("square-sum-zero", None): ({"zero"}, _Replayer._square_sum_zero),
     ("single-monomial-zero", None): ({"zero"}, _Replayer._single_monomial_zero),
     ("mutex-elim", "nonzero"): ({"zero"}, _Replayer._mutex_nonzero),
@@ -647,6 +679,8 @@ CHECKS = {
     ("branch-close", None): ({"closed"}, _Replayer._branch_close),
 }
 RULES = frozenset(rule for rule, _ in CHECKS)
+# The pairs whose conclusion the replayer computes: dump_log writes them derived.
+DERIVED = frozenset(key for key, (kinds, _) in CHECKS.items() if "derived" in kinds)
 
 
 def _is_signed_square_sum(p: poly.Poly, strict: bool) -> bool:

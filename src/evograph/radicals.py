@@ -194,7 +194,7 @@ def _normalize(coeff: Fraction, exponents: dict[int, Fraction]) -> tuple[Fractio
 # Longer integers are converted in pieces of _PIECE digits instead.
 _PIECE = 600
 _TEN_PIECE = 10**_PIECE
-_FRACTION = re.compile(r"\s*(-?)([0-9]+)(?:/([0-9]+))?\s*")
+_FRACTION = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 _FACTOR = re.compile(r"([0-9]+)\^\(([0-9]+/[0-9]+)\)")
 # The longest numerator or denominator parse_fraction reads.  Engine logs on
 # graphs with up to 6 vertices carry at most 48 466 digits.  Reading a fraction
@@ -228,16 +228,20 @@ def fraction_str(q: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """The fraction ``fraction_str`` wrote as text, up to ``MAX_DIGITS`` digits a part."""
+    """The fraction ``fraction_str`` wrote as text, up to ``MAX_DIGITS`` digits a part.
+
+    Only that text is read: no spaces, leading zeros, ``-0`` or denominator
+    1, and lowest terms; any other text raises ``ValueError``.
+    """
     m = _FRACTION.fullmatch(text)
-    if m is None:
-        raise ValueError(f"not a fraction: {text[:50]!r}")
+    if m is None or m[3] == "1" or (m[1] and m[2] == "0"):
+        raise ValueError(f"not a fraction as fraction_str writes it: {text[:50]!r}")
     if max(len(m[2]), len(m[3] or "")) > MAX_DIGITS:
         raise ValueError(f"fraction longer than {MAX_DIGITS} digits")
     den = _digits_int(m[3] or "1")
-    if not den:
-        raise ValueError("zero denominator")
     q = Fraction(_digits_int(m[2]), den)
+    if q.denominator != den:
+        raise ValueError(f"fraction not in lowest terms: {text[:50]!r}")
     return -q if m[1] else q
 
 

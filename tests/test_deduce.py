@@ -129,18 +129,15 @@ class TestSaturate:
 
 class TestCertification:
     @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
-    def test_null_only_with_valid_replay(self, desc):
-        g = generate_family(desc)
-        verdict = prove_null_only(g)
+    def test_null_only_with_valid_replay(self, desc, corpus_proof):
+        _, system, verdict, _ = corpus_proof(desc)
         assert verdict.kind == NULL_ONLY
-        res = replay_proof(derive_constraints(g), verdict.log)
+        res = replay_proof(system, verdict.log)
         assert res, res.failure
 
     @pytest.mark.parametrize("desc", NO_FALSE_CERT_INSTANCES)
-    def test_never_certifies_when_nonzero_hom_exists(self, desc):
-        g = generate_family(desc)
-        verdict = prove_null_only(g)
-        assert verdict.kind != NULL_ONLY
+    def test_never_certifies_when_nonzero_hom_exists(self, desc, corpus_proof):
+        assert corpus_proof(desc).verdict.kind != NULL_ONLY
 
     def test_found_structure_witness_verifies(self):
         verdict = prove_null_only(path_graph(2))
@@ -148,18 +145,17 @@ class TestCertification:
         assert verdict.witness is not None
         assert is_homomorphism_direct(path_graph(2), verdict.witness)
 
-    def test_deterministic_logs(self):
-        g = bull_graph()
-        a = prove_null_only(g)
-        b = prove_null_only(g)
+    def test_deterministic_logs(self, corpus_proof):
+        a = corpus_proof("bull").verdict
+        b = prove_null_only(bull_graph())
         assert [(s.sid, s.rule, s.conclusion) for s in a.log.steps] == [
             (s.sid, s.rule, s.conclusion) for s in b.log.steps
         ]
 
     @pytest.mark.parametrize("desc", ["cycle:4", "star:3", "complete_bipartite:2,3"])
-    def test_contradiction_ends_its_branch(self, desc):
+    def test_contradiction_ends_its_branch(self, desc, corpus_proof):
         # the next step closes the branch on that contradiction, nothing between
-        steps = prove_null_only(generate_family(desc)).log.steps
+        steps = corpus_proof(desc).verdict.log.steps
         ends = [(s, nxt) for s, nxt in zip(steps, steps[1:]) if s.conclusion == ("contradiction",)]
         assert ends and steps[-1].conclusion != ("contradiction",)
         offending = [
@@ -169,10 +165,10 @@ class TestCertification:
         ]
         assert not offending
 
-    def test_bull_closes_with_case_splits(self):
+    def test_bull_closes_with_case_splits(self, corpus_proof):
         # inner branches close through their children, so there are fewer
         # close steps than open steps but every leaf path ends in one
-        verdict = prove_null_only(bull_graph())
+        verdict = corpus_proof("bull").verdict
         opens = {s.branch for s in verdict.log.steps if s.rule == "branch-open"}
         closes = {s.branch for s in verdict.log.steps if s.rule == "branch-close"}
         assert opens and closes

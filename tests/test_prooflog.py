@@ -6,6 +6,8 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,19 +27,22 @@ from evograph.prooflog import (
     RULES,
     ProofLog,
     Step,
+    _table_key,
     dump_log,
     load_log,
     replay_proof,
 )
-from evograph.radicals import Radical
+from evograph.radicals import Radical, fraction_str
+
+# cmn:2,2's log as dump_log wrote it when every substitute row was stated
+STATED_LOG = Path(__file__).parent / "data" / "cmn_2_2.stated.json"
 
 
 @pytest.fixture(scope="module")
-def bull_proof():
-    g = bull_graph()
-    verdict = prove_null_only(g)
+def bull_proof(corpus_proof):
+    g, system, verdict, _ = corpus_proof("bull")
     assert verdict.kind == NULL_ONLY
-    return g, derive_constraints(g), verdict.log
+    return g, system, verdict.log
 
 
 def test_replay_accepts_own_log(bull_proof):
@@ -161,10 +166,10 @@ def test_rule_outside_engine_vocabulary_rejected():
 
 
 @pytest.mark.parametrize("desc", ["bull", "cmn:2,2"])
-def test_emptied_premises_rejected_without_raising(desc):
+def test_emptied_premises_rejected_without_raising(desc, corpus_proof):
     """Premises must be exactly the refs a check uses: none missing, none extra."""
-    g = generate_family(desc)
-    sys, log = derive_constraints(g), prove_null_only(g).log
+    _, sys, verdict, _ = corpus_proof(desc)
+    log = verdict.log
     first: dict[str, int] = {}
     for idx, s in enumerate(log.steps):
         first.setdefault(s.rule, idx)
@@ -268,9 +273,10 @@ def _forge_coefficient(payload: dict, field: str, text: str) -> None:
 
 
 @pytest.mark.parametrize("field", ["coeff", "parts", "scalar"])
-def test_forged_long_coefficient_rejected_quickly(field, bull_proof):
-    _, sys, log = bull_proof
-    payload = json.loads(dump_log(log, sys))
+def test_forged_long_coefficient_rejected_quickly(field, corpus_log):
+    # the bull's log states no row; cmn:2,2's states its leaf-twin-cross rows
+    sys, text = corpus_log("cmn:2,2" if field == "coeff" else "bull")
+    payload = json.loads(text)
     _forge_coefficient(payload, field, "7" * 2_000_000 + "/" + "3" * 2_000_000)
     text = json.dumps(payload)
     start = time.perf_counter()
@@ -331,10 +337,6 @@ def _edge_list_graph(spec: str):
     return build_graph(int(n), [tuple(map(int, e.split("-"))) for e in edges.split()])
 
 
-def _table_key(step: Step) -> tuple:
-    return step.rule, step.payload.get("op" if step.rule == "substitute" else "mode")
-
-
 # Null-only graphs whose logs reach the table entries no corpus log reaches:
 # mutex-elim/pair in the first; both negative-square modes and
 # value-conflict/eval in the second.
@@ -362,12 +364,12 @@ def test_rare_rule_logs_replay(spec, rare_rule_logs):
     assert replay_proof(sys_, load_log(dump_log(log, sys_), sys_))
 
 
-def test_every_table_entry_occurs_in_an_engine_log(rare_rule_logs):
+def test_every_table_entry_occurs_in_an_engine_log(rare_rule_logs, corpus_proof):
     corpus = dict.fromkeys(
         NULL_ONLY_INSTANCES + ISO_INSTANCES + NO_FALSE_CERT_INSTANCES + NUMERIC_NULL_INSTANCES
     )
     logs = [log for _, log in rare_rule_logs.values()]
-    logs += [prove_null_only(generate_family(desc)).log for desc in corpus]
+    logs += [corpus_proof(desc).verdict.log for desc in corpus]
     seen = {_table_key(s) for log in logs for s in log.steps}
     assert seen == set(CHECKS)
     assert RULES == {rule for rule, _ in CHECKS} and len(CHECKS) == 19
@@ -411,44 +413,91 @@ def test_coefficients_past_the_int_str_limit_round_trip():
 
 # sha256 of each corpus certificate's document, written with indent=1 as
 # dump_log wrote it before logs became compact: the engine's logs are pinned.
+# Each equals the stated-row document of earlier versions with every
+# substitute conclusion replaced by {"kind": "derived"}.
 LOG_SHA256 = {
-    "cmn:2,2": "96894a1e3b40fb6e6bbbc40ac6a0e8434b6bcb4c12195378de89f19cd8b66dd4",
-    "cmn:2,3": "7bfbeccf2b53a6e3f2f116749747b63aba1b22978c3b90a3f372cd9496adab3c",
-    "cmn:3,2": "53959b0c7f2bcfd424cc5eba7ba4d07c794c3a27638c929ca2059b438345b661",
-    "cmn:3,3": "0165760bce8af8c924ddce5c27266734b5ff0f6159ad77aacac78250e17d2d3a",
-    "caterpillar:1,2,2": "941b1253d155bc5fb8acb84daf8cc7faec6ea0609cec49b692cec3d20366ab40",
-    "caterpillar:1,2,2,2": "e95a81cf218397bdcb0c33649ed600efbda8d25344523c65f65574dc3da59005",
-    "tadpole:4,1": "44d1a168448c5f732c5bc4ffe72182c9ca58eccc1cec1672a16fbc4d8d6042bb",
-    "tadpole:4,3": "cb6f518268bc81b6226a3b352e857a7f0bdca71a3af25adccc2a61e878c4acd3",
-    "bull": "5b346d3e74fc985e9bec12dfc8f0052b747801c1d56f935982fab73c4eed0604",
+    "cmn:2,2": "8ba0272fdb993df89d0de2c696d4a23d4aae50763616e6cddecb3681dd1430f7",
+    "cmn:2,3": "ad13096707003852f9f230ff2e1cc1bca45d692d893106545f63505a315364bc",
+    "cmn:3,2": "9bd2ab1724de020fd8105bba9a22f7d67f590437a75baeaf20e4cb722690ee35",
+    "cmn:3,3": "4def1eceb38f36d39766b27ca4f70ee72357c04a188e375ae19d3c8ea1098afb",
+    "caterpillar:1,2,2": "64895cf9fe5798badcbacdce25f31ce560919eeb998de957dc574add269e9522",
+    "caterpillar:1,2,2,2": "78918b7908695f0673669b2099790a001903a0b9d87239449b0cac19004f283e",
+    "tadpole:4,1": "2b484627128f27215eb8a436bb59ca2369d1a0d05f1f8f82c07ba2ba9c7697dd",
+    "tadpole:4,3": "181fa77ebeba67764cdc3a95f27266fa836d70f8e1b1238d81af962c8a1dda71",
+    "bull": "23b9067d67d874a562c1fb9098c0c4de61c035e67d033ccc089855b4a3a0b0bb",
 }
 
 
-@functools.cache
-def _corpus_log(desc: str):
-    g = generate_family(desc)
-    sys_ = derive_constraints(g)
-    return sys_, dump_log(prove_null_only(g).log, sys_)
+@pytest.fixture(scope="module")
+def corpus_log(corpus_proof):
+    """(system, dump_log text) of a descriptor's proof, written once."""
+
+    @functools.cache
+    def log(desc: str):
+        _, sys_, verdict, _ = corpus_proof(desc)
+        return sys_, dump_log(verdict.log, sys_)
+
+    return log
 
 
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
-def test_corpus_proof_logs_byte_identical(desc):
-    _, text = _corpus_log(desc)
+def test_corpus_proof_logs_byte_identical(desc, corpus_log):
+    _, text = corpus_log(desc)
     assert text == json.dumps(json.loads(text), separators=(",", ":"))
     indented = json.dumps(json.loads(text), indent=1)
     assert hashlib.sha256(indented.encode()).hexdigest() == LOG_SHA256[desc]
 
 
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
-def test_indented_logs_of_earlier_versions_load(desc):
+def test_indented_logs_of_earlier_versions_load(desc, corpus_log):
     # earlier versions wrote json.dumps(document, indent=1)
-    sys_, text = _corpus_log(desc)
+    sys_, text = corpus_log(desc)
     document = json.loads(text)
     assert replay_proof(sys_, load_log(json.dumps(document, indent=1), sys_))
     step = next(s for s in document["steps"] if s["conclusion"]["kind"] == "zero")
     step["conclusion"] = {"kind": "value", "var": step["conclusion"]["var"], "scalar": "1"}
     res = replay_proof(sys_, load_log(json.dumps(document, indent=1), sys_))
     assert not res and res.failure.index == step["id"]
+
+
+def test_stated_row_log_of_earlier_versions_replays(corpus_log):
+    sys_, _ = corpus_log("cmn:2,2")
+    log = load_log(STATED_LOG.read_text(), sys_)
+    assert sum(s.conclusion[0] == "row" and s.rule == "substitute" for s in log.steps) > 300
+    assert replay_proof(sys_, log)
+
+
+@pytest.mark.parametrize("op", ["lincomb", "subst"])
+def test_changed_stated_row_coefficient_rejected_at_its_step(op, corpus_log):
+    sys_, _ = corpus_log("cmn:2,2")
+    document = json.loads(STATED_LOG.read_text())
+    step = next(s for s in document["steps"] if s["payload"].get("op") == op)
+    term = step["conclusion"]["terms"][0]
+    term["coeff"] = fraction_str(2 * Fraction(term["coeff"]))
+    res = replay_proof(sys_, load_log(json.dumps(document), sys_))
+    assert not res and res.failure.index == step["id"]
+    assert "does not reproduce the row" in res.failure.reason
+
+
+def test_log_is_the_stated_row_log_with_substitute_rows_derived(corpus_log):
+    # ids, rules, branches, premises, payloads and every other conclusion
+    # are as earlier versions wrote them
+    _, text = corpus_log("cmn:2,2")
+    document = json.loads(STATED_LOG.read_text())
+    for step in document["steps"]:
+        if step["rule"] == "substitute":
+            step["conclusion"] = {"kind": "derived"}
+    assert json.dumps(document, separators=(",", ":")) == text
+
+
+def test_derived_conclusion_only_where_the_replayer_computes_it(corpus_log):
+    sys_, text = corpus_log("cmn:2,2")
+    document = json.loads(text)
+    step = next(s for s in document["steps"] if s["rule"] == "leaf-twin-cross")
+    step["conclusion"] = {"kind": "derived"}
+    res = replay_proof(sys_, load_log(json.dumps(document), sys_))
+    assert not res and res.failure.index == step["id"]
+    assert "cannot conclude 'derived'" in res.failure.reason
 
 
 @pytest.fixture

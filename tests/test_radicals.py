@@ -128,7 +128,20 @@ def test_fraction_text_is_exact_past_the_int_str_limit(q):
 
 
 @pytest.mark.parametrize(
-    "text", ["1" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1), "1.5", "+2", "2/-3", ""]
+    "text",
+    [
+        "1" * (MAX_DIGITS + 1),
+        "1/" + "3" * (MAX_DIGITS + 1),
+        "1.5",
+        "+2",
+        "2/-3",
+        "",
+        "2/4",
+        " 1",
+        "-0",
+        "007",
+        "3/1",
+    ],
 )
 def test_parse_fraction_rejects_text_fraction_str_never_writes(text):
     with pytest.raises(ValueError):
