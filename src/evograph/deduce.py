@@ -33,12 +33,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import NoReturn
 
 from . import poly
 from .graphs import Graph
 from .homsystem import HomCandidate, HomSystem, derive_constraints, is_homomorphism_direct
-from .prooflog import FOUND_STRUCTURE, NULL_ONLY, UNKNOWN, ProofLog, Ref, Step
+from .prooflog import FOUND_STRUCTURE, NULL_ONLY, UNKNOWN, ProofLog, Ref, Step, _gc_paused
 from .radicals import Radical, RadicalSum
 
 
@@ -89,6 +90,9 @@ class DeductionState:
         self.shared = shared
         self.branch = branch
         self.rows: dict[Ref, poly.Poly] = {}
+        # each row's leading monomial and its variables in ascending order,
+        # computed once by _add_row
+        self.row_info: dict[Ref, tuple[poly.Mono, tuple[int, ...]]] = {}
         self.basis: dict[poly.Mono, Ref] = {}
         # occurrence indexes over self.rows, kept by _add_row and _remove_row
         self.mono_rows: dict[poly.Mono, set[Ref]] = {}
@@ -108,6 +112,7 @@ class DeductionState:
     def clone(self) -> "DeductionState":
         c = DeductionState(self.shared, self.branch)
         c.rows = dict(self.rows)
+        c.row_info = dict(self.row_info)
         c.basis = dict(self.basis)
         c.mono_rows = {m: set(refs) for m, refs in self.mono_rows.items()}
         c.var_rows = {v: set(refs) for v, refs in self.var_rows.items()}
@@ -173,18 +178,20 @@ class DeductionState:
         """One logged substitution per determined variable occurring in p.
 
         Variables go in ascending order.  A constant replacement only
-        removes variables, so one sorted pass over p's variables suffices;
-        a variable cancelled by an earlier substitution is skipped.
+        removes variables, so one sorted pass over p's determined variables
+        suffices; a variable cancelled by an earlier substitution is skipped.
         """
-        for v in sorted(poly.poly_vars(p)):
-            if v in self.zeros:
-                repl, dref = {}, self.zeros[v]
-            elif v in self.values and self.values[v][0].is_rational:
-                rad, dref = self.values[v]
+        zeros, values = self.zeros, self.values
+        determined = [
+            v for v in poly.poly_vars(p) if v in zeros or (v in values and values[v][0].is_rational)
+        ]
+        for v in sorted(determined):
+            if v in zeros:
+                repl, dref = {}, zeros[v]
+            else:
+                rad, dref = values[v]
                 c = rad.as_rational()
                 repl = {poly.CONST: c} if c else {}
-            else:
-                continue
             if any(v in m for m in p):
                 ref, p = self._subst(ref, p, v, dref, repl)
         return ref, p
@@ -204,17 +211,18 @@ class DeductionState:
         """Full reduction against the basis; one lincomb step if it changed."""
         parts = [(ref, Fraction(1))]
         cur = dict(p)
-        changed = True
-        while changed:
-            changed = False
-            for m in sorted(cur, key=poly.mono_key):
-                hit = self.basis.get(m)
-                if hit is not None and hit != ref:
-                    lam = -cur[m] / self.rows[hit][m]
-                    cur = poly.add_scaled(cur, self.rows[hit], lam)
-                    parts.append((hit, lam))
-                    changed = True
-                    break
+        basis = self.basis
+        while True:
+            # the next pivot: cur's first monomial, in mono_key order, led by another row
+            hits = [m for m in cur if basis.get(m, ref) != ref]
+            if not hits:
+                break
+            m = min(hits, key=poly.mono_key)
+            hit = basis[m]
+            row = self.rows[hit]
+            lam = -cur[m] / row[m]
+            poly.add_scaled_to(cur, row, lam)
+            parts.append((hit, lam))
         if len(parts) == 1:
             return ref, cur
         if not cur:
@@ -224,21 +232,23 @@ class DeductionState:
         )
         return nref, cur
 
-    def _add_row(self, ref: Ref, p: poly.Poly):
+    def _add_row(self, ref: Ref, p: poly.Poly, lead: poly.Mono):
+        pvars = tuple(sorted(poly.poly_vars(p)))
         self.rows[ref] = p
-        self.basis[poly.leading_mono(p)] = ref
+        self.row_info[ref] = (lead, pvars)
+        self.basis[lead] = ref
         _index(self.mono_rows, p, ref)
-        _index(self.var_rows, poly.poly_vars(p), ref)
+        _index(self.var_rows, pvars, ref)
 
     def _remove_row(self, ref: Ref):
         p = self.rows.pop(ref, None)
         if p is None:
             return None
-        lead = poly.leading_mono(p)
+        lead, pvars = self.row_info.pop(ref)
         if self.basis.get(lead) == ref:
             del self.basis[lead]
         _unindex(self.mono_rows, p, ref)
-        _unindex(self.var_rows, poly.poly_vars(p), ref)
+        _unindex(self.var_rows, pvars, ref)
         return p
 
     def process_pending(self) -> bool:
@@ -300,9 +310,9 @@ class DeductionState:
             )
             if set(nq) == {poly.CONST}:
                 self.contradict("value-conflict", [nref], {"mode": "eval"})
-            self._add_row(nref, nq)
+            self._add_row(nref, nq, poly.leading_mono(nq))
             self._shape_rules(nref, nq)
-        self._add_row(ref, p)
+        self._add_row(ref, p, lead)
         if len(lead) == 1:
             # new affine definition: rewrite quadratic occurrences elsewhere
             v = lead[0]
@@ -430,9 +440,9 @@ class DeductionState:
             p = self.rows[ref]
             if len(p) != 2:
                 continue
-            pv = poly.poly_vars(p)
+            pv = self.row_info[ref][1]
             if len(pv) == 1:
-                v = next(iter(pv))
+                v = pv[0]
                 if set(p) == {(v, v), (v,)} and v in chains and v not in self.values:
                     val = Radical.from_rational(-p[(v,)] / p[(v, v)])
                     vref = self.emit(
@@ -477,14 +487,22 @@ class DeductionState:
                 self.add_value(y, val, vref)
 
     def _scan_radical_rows(self):
-        """Rows whose variables are (almost) all pinned to radical values."""
-        for ref in sorted(self.rows):
+        """Rows whose variables are (almost) all pinned to radical values.
+
+        Only a row with a valued variable or with at most one variable can
+        match.  Those rows are visited in ref order; a value found on the
+        way brings in the later rows that hold its variable.
+        """
+        todo = {ref for ref, (_, pvars) in self.row_info.items() if len(pvars) <= 1}
+        for v in self.values:
+            todo.update(self.var_rows.get(v, ()))
+        heap = sorted(todo)
+        while heap:
+            ref = heappop(heap)
             p = self.rows[ref]
-            pvars = sorted(poly.poly_vars(p))
+            pvars = self.row_info[ref][1]
             unknown = [v for v in pvars if v not in self.values]
             valued = [v for v in pvars if v in self.values]
-            if not valued and len(unknown) > 1:
-                continue
             vrefs = [self.values[v][1] for v in valued]
             rest, const = _eval_partial(p, {v: self.values[v][0] for v in valued})
             if not unknown:
@@ -507,6 +525,10 @@ class DeductionState:
                     self.add_zero(x, vref)
                 else:
                     self.add_value(x, val, vref)
+                    for r in self.var_rows.get(x, ()):
+                        if r > ref and r not in todo:
+                            todo.add(r)
+                            heappush(heap, r)
             elif set(rest) == {(x, x)} and const.is_zero:
                 vref = self.emit("linear-solve", [ref] + vrefs, ("zero", x))
                 self.add_zero(x, vref)
@@ -673,8 +695,8 @@ def _zero_column(state: DeductionState) -> int | None:
 
 def _pick_branch_var(state: DeductionState) -> int | None:
     counts: dict[int, int] = {}
-    for p in state.rows.values():
-        for v in poly.poly_vars(p):
+    for _, pvars in state.row_info.values():
+        for v in pvars:
             if (
                 v not in state.zeros
                 and v not in state.values
@@ -740,13 +762,17 @@ def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState:
     return child
 
 
+@_gc_paused()
 def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     """Certify that the null map is the only homomorphism, when provable.
 
     Returns a verdict carrying the proof log.  "null-only" is issued only
     when an exhaustive case split closes every branch; anything else
     (budget, unresolved branches, or an explicit nonzero solution) comes
-    back as "unknown" or "found-structure".
+    back as "unknown" or "found-structure".  The cyclic garbage collector
+    is paused while it runs: the log and the branch states hold no cycles,
+    and the collector's passes over the growing log would cost more than
+    they free.
     """
     sys = derive_constraints(g)
     shared = _Shared(sys, budget)

@@ -40,10 +40,10 @@ earlier versions wrote still load.  It raises ``ValueError`` on any
 malformed input and on a log recorded for another graph.  Coefficients
 are written and read as exact decimal text of any length.  A value's
 scalar is read only in the text ``str(Radical)`` writes, and built as
-written: nothing is factored while a log loads.  Both run with the
-cyclic garbage collector paused: everything they build is acyclic, and
-the collector's repeated passes over millions of fresh containers would
-cost more than the encoding itself.
+written: nothing is factored while a log loads.  Both, and
+``replay_proof``, run with the cyclic garbage collector paused:
+everything they build is acyclic, and the collector's repeated passes
+over millions of fresh containers would cost more than the work itself.
 """
 
 from __future__ import annotations
@@ -269,8 +269,13 @@ def dump_system(sys: HomSystem) -> str:
 
 # -- replay -------------------------------------------------------------------
 
+@_gc_paused()
 def replay_proof(sys: HomSystem, log: ProofLog) -> ReplayResult:
-    """Independently re-validate every step and the final verdict."""
+    """Independently re-validate every step and the final verdict.
+
+    The cyclic garbage collector is paused while it runs, as it is while
+    a log is dumped or loaded.
+    """
     try:
         _Replayer(sys, log).run()
     except InvalidStep as exc:
@@ -485,7 +490,7 @@ class _Replayer:
     def _lincomb(self, step: Step):
         acc: poly.Poly = {}
         for ref, lam in step.payload["parts"]:
-            acc = poly.add_scaled(acc, self.row_of(ref, step), lam)
+            poly.add_scaled_to(acc, self.row_of(ref, step), lam)
         return self._row_concluded(step, acc, "linear combination")
 
     def _subst(self, step: Step):

@@ -295,14 +295,16 @@ def _benchmark_certify_instances():
 
 
 def _assert_indexes_match_rows(state):
-    mono_rows, var_rows = {}, {}
+    mono_rows, var_rows, row_info = {}, {}, {}
     for ref, p in state.rows.items():
         for m in p:
             mono_rows.setdefault(m, set()).add(ref)
         for v in poly.poly_vars(p):
             var_rows.setdefault(v, set()).add(ref)
+        row_info[ref] = (poly.leading_mono(p), tuple(sorted(poly.poly_vars(p))))
     assert state.mono_rows == mono_rows
     assert state.var_rows == var_rows
+    assert state.row_info == row_info
 
 
 def _saturate_or_close(state):
@@ -330,3 +332,21 @@ def test_occurrence_indexes_match_rows(desc):
         _saturate_or_close(child)
         _assert_indexes_match_rows(child)
     _assert_indexes_match_rows(root)  # the children worked on copies
+
+
+def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
+    # y = 2^(1/3) is known; x - y solves x, and only then does z - x,
+    # a later row with no valued variable before the scan, solve z
+    _, state = fresh_state(bull_graph())
+    y, x, z = 0, 1, 2
+    cube_root = Radical.root(2, 3)
+    state.values[y] = (cube_root, ("c", 0))
+    for ref, p in ((("c", 1), {(x,): F(1), (y,): F(-1)}), (("c", 2), {(z,): F(1), (x,): F(-1)})):
+        state._add_row(ref, p, poly.leading_mono(p))
+    state._scan_radical_rows()
+    assert state.values[x][0] == cube_root
+    assert state.values[z][0] == cube_root
+    assert [(s.rule, s.premises) for s in state.shared.log.steps] == [
+        ("linear-solve", (("c", 1), ("c", 0))),
+        ("linear-solve", (("c", 2), ("s", 0))),
+    ]

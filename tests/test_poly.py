@@ -5,10 +5,13 @@ so a kernel bug would fool both at once.  The references below add
 one term at a time with plain ``Fraction`` sums and a ``Fraction(0)``
 default, deleting a coefficient that cancels.  Results must match them
 key for key and in insertion order: the engine iterates these dicts, so
-the order is part of what keeps its logs unchanged.
+the order is part of what keeps its logs unchanged.  The kernel builds
+its coefficients itself, without the ``Fraction`` constructor, so every
+result is also checked to be in lowest terms with a positive denominator.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -27,10 +30,24 @@ MONOS = st.one_of(
     st.tuples(VARS, VARS).map(lambda m: tuple(sorted(m))),
 )
 AFFINE_MONOS = st.one_of(st.just(()), st.tuples(VARS))
-FRACTIONS = st.builds(
-    Fraction,
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=1, max_value=4),
+# small parts, so that sums cancel often; denominators up to 36, which
+# share factors; and parts past 2**64
+FRACTIONS = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=1, max_value=4),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-36, max_value=36),
+        st.integers(min_value=1, max_value=36),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**80), max_value=2**80),
+        st.integers(min_value=1, max_value=2**80),
+    ),
 )
 NONZERO = FRACTIONS.filter(bool)
 LAMS = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), FRACTIONS)
@@ -75,8 +92,15 @@ def polys(monos=MONOS):
     return st.lists(st.tuples(NONZERO, monos), max_size=8).map(ref_from_terms)
 
 
+def assert_lowest_terms(c):
+    assert type(c) is Fraction
+    assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
 def assert_kernel_form(p):
-    assert all(type(c) is Fraction and c != 0 for c in p.values())
+    for c in p.values():
+        assert_lowest_terms(c)
+        assert c != 0
     assert all(list(m) == sorted(m) and len(m) <= 2 for m in p)
 
 
@@ -103,6 +127,24 @@ def test_add_scaled_matches_reference(p, q, lam):
 @given(polys(), VARS, polys(AFFINE_MONOS))
 def test_substitute_var_matches_reference(p, v, repl):
     same(poly.substitute_var(p, v, repl), ref_substitute(p, v, repl))
+
+
+def same_fraction(got, want):
+    assert_lowest_terms(got)
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FRACTIONS, FRACTIONS)
+def test_kernel_product_and_sum_match_fraction(a, b):
+    # the helpers write Fraction's _numerator and _denominator slots
+    # directly; a Fraction without them fails here first
+    same_fraction(poly._mul(a, b), a * b)
+    same_fraction(poly._sum(a, b), a + b)
+    same_fraction(poly._sum(a, -a), Fraction(0))
 
 
 @given(polys(), polys())

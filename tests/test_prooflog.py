@@ -17,7 +17,7 @@ from evograph.cli import (
     NULL_ONLY_INSTANCES,
     NUMERIC_NULL_INSTANCES,
 )
-from evograph.deduce import prove_null_only
+from evograph.deduce import Budget, prove_null_only
 from evograph.graphs import build_graph, bull_graph, generate_family
 from evograph.homsystem import derive_constraints
 from evograph.prooflog import (
@@ -448,6 +448,22 @@ def test_corpus_proof_logs_byte_identical(desc, corpus_log):
     assert hashlib.sha256(indented.encode()).hexdigest() == LOG_SHA256[desc]
 
 
+# sha256 of dump_log's text for logs the pins above do not reach: a deep
+# null-only tree (7 432 steps, depth 8) and a found-structure log with 10
+# open leaves.  The exact kernel's arithmetic and the engine's row store
+# must not change a single step of them.
+DEEP_LOG_SHA256 = {
+    "path:9": "e6ba4a8b8f9dd63d5015703e8890c45611b90fb2572f995aa6dc62fd880e2fea",
+    "cycle:5": "1182142cfa09fb45893a5fbae99fc60cce12cf8ecac4f08266fc036fe2689596",
+}
+
+
+@pytest.mark.parametrize("desc", sorted(DEEP_LOG_SHA256))
+def test_deep_and_open_proof_logs_byte_identical(desc, corpus_log):
+    _, text = corpus_log(desc)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_LOG_SHA256[desc]
+
+
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
 def test_indented_logs_of_earlier_versions_load(desc, corpus_log):
     # earlier versions wrote json.dumps(document, indent=1)
@@ -526,3 +542,43 @@ def test_gc_state_restored(enabled, bull_proof, gc_state):
         with pytest.raises(ValueError):
             load_log(malformed, sys_)
         assert gc.isenabled() is enabled
+
+
+def test_prove_and_replay_leave_no_cycles(gc_state):
+    # both run with the collector paused, so they must not leave it work;
+    # it stays off here too, so no automatic pass hides a cycle
+    g = generate_family("tadpole:4,3")
+    sys_ = derive_constraints(g)
+    gc.disable()
+    gc.collect()
+    verdict = prove_null_only(g)
+    assert verdict.log.verdict == NULL_ONLY
+    assert any(s.rule == "branch-open" for s in verdict.log.steps)
+    assert replay_proof(sys_, verdict.log)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_after_rejected_replay(enabled, bull_proof, gc_state):
+    _, sys_, log = bull_proof
+    steps = list(log.steps)
+    i = next(i for i, s in enumerate(steps) if s.payload.get("op") == "lincomb")
+    steps[i] = dataclasses.replace(steps[i], payload={"op": "lincomb", "parts": None})
+    for forged in (dataclasses.replace(log, steps=steps), dataclasses.replace(log, steps=steps[:i])):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert not replay_proof(sys_, forged)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_after_step_budget_runs_out(enabled, gc_state):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    verdict = prove_null_only(bull_graph(), Budget(max_steps=40))
+    assert verdict.reason == "budget-exhausted"
+    assert gc.isenabled() is enabled
