@@ -449,12 +449,27 @@ def cmd_sweep(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--seed": dict(type=int, default=0),
-    "--restarts": dict(type=int, default=200),
+    "--seed": dict(type=_int_at_least(0), default=0),
+    "--restarts": dict(type=_int_at_least(1), default=200),
     "--fast": dict(action="store_true", help="skip numeric search"),
-    "--depth": dict(type=int, default=8, help="case-split depth budget"),
+    "--depth": dict(
+        type=_int_at_least(0), default=Budget().max_depth, help="case-split depth budget"
+    ),
 }
 
 

@@ -3,7 +3,7 @@
 The engine maintains, per branch of a case-split tree, a store of
 polynomial constraint rows kept in reduced row-echelon form over the
 monomial space, together with facts (zero variables, exact values,
-mutex groups, nonzero assumptions).  Saturation interleaves
+mutex pairs, nonzero assumptions).  Saturation interleaves
 
   * substitution of known facts into rows,
   * exact linear combination of rows sharing monomials (Gaussian
@@ -33,7 +33,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heappop, heappush, merge
+from itertools import combinations
 from typing import NoReturn
 
 from . import poly
@@ -81,6 +82,9 @@ class _Shared:
         self.open_leaves = 0
         self.witness: HomCandidate | None = None  # of the first open leaf that has one
         self.depth_cut = False
+        # (x, y) with x < y -> its leaf-mutex step, in ascending pair order;
+        # filled once by apply_leaf_rules and read by every branch
+        self.mutex_pairs: dict[tuple[int, int], Ref] = {}
 
 
 class DeductionState:
@@ -100,8 +104,8 @@ class DeductionState:
         self.zeros: dict[int, Ref] = {}
         self.values: dict[int, tuple[Radical, Ref]] = {}
         self.nonzero: dict[int, Ref] = {}
-        self.mutex_groups: list[tuple[frozenset, Ref]] = []
-        self.pair_mutex: dict[frozenset, Ref] = {}
+        # x*y monomial -> the single-monomial row that makes x, y a mutex pair
+        self.pair_mutex: dict[poly.Mono, Ref] = {}
         self.pending: deque = deque()
         self.dirty: set[int] = set()
 
@@ -110,6 +114,7 @@ class DeductionState:
         return self.shared.sys
 
     def clone(self) -> "DeductionState":
+        """A copy for a child branch; pending and dirty are empty at a split."""
         c = DeductionState(self.shared, self.branch)
         c.rows = dict(self.rows)
         c.row_info = dict(self.row_info)
@@ -119,10 +124,7 @@ class DeductionState:
         c.zeros = dict(self.zeros)
         c.values = dict(self.values)
         c.nonzero = dict(self.nonzero)
-        c.mutex_groups = list(self.mutex_groups)
         c.pair_mutex = dict(self.pair_mutex)
-        c.pending = deque(self.pending)
-        c.dirty = set(self.dirty)
         return c
 
     # -- logging --------------------------------------------------------------
@@ -334,7 +336,7 @@ class DeductionState:
                 zref = self.emit("single-monomial-zero", [ref], ("zero", m[0]))
                 self.add_zero(m[0], zref)
             elif len(m) == 2:
-                self.pair_mutex.setdefault(frozenset(m), ref)
+                self.pair_mutex.setdefault(m, ref)
             return
         nconst = [m for m in monos if m != poly.CONST]
         if all(len(m) == 2 and m[0] == m[1] for m in nconst):
@@ -360,19 +362,39 @@ class DeductionState:
 
     # -- multi-row scans ------------------------------------------------------------
 
-    def _nonzero_closure(self, links) -> dict[int, list[Ref]]:
+    def _two_term_rows(self):
+        """The two-term rows the scans read, in ref order.
+
+        links: (ref, (x, y)) for two univariate monomials in variables x < y;
+        evidence: (ref, x) for c*x^2 + d with -d/c > 0, so x is nonzero;
+        squares: (ref, x, y, kappa) for x^2 = kappa*y, where y may be x.
+        """
+        links, evidence, squares = [], [], []
+        rows = self.rows
+        for ref in sorted(r for r, p in rows.items() if len(p) == 2):
+            p = rows[ref]
+            m, n = p
+            if len(m) < len(n):
+                m, n = n, m
+            square = len(m) == 2 and m[0] == m[1]
+            if not n:
+                if square and (p[m] > 0) != (p[n] > 0):
+                    evidence.append((ref, m[0]))
+                continue
+            if (len(m) == 1 or square) and len(set(n)) == 1 and m[0] != n[0]:
+                links.append((ref, (m[0], n[0]) if m[0] < n[0] else (n[0], m[0])))
+            if square and len(n) == 1:
+                squares.append((ref, m[0], n[0], -p[n] / p[m]))
+        return links, evidence, squares
+
+    def _nonzero_closure(self, links, evidence) -> dict[int, list[Ref]]:
         chains: dict[int, list[Ref]] = {}
         for v, ref in sorted(self.nonzero.items()):
             chains[v] = [ref]
-        for v, (rad, ref) in sorted(self.values.items()):
-            if not rad.is_zero:
-                chains.setdefault(v, [ref])
-        for ref in sorted(self.rows):
-            p = self.rows[ref]
-            if len(p) == 2 and poly.CONST in p:
-                sq = [m for m in p if len(m) == 2 and m[0] == m[1]]
-                if len(sq) == 1 and -p[poly.CONST] / p[sq[0]] > 0:
-                    chains.setdefault(sq[0][0], [ref])
+        for v, (_, ref) in sorted(self.values.items()):
+            chains.setdefault(v, [ref])  # values never holds a zero
+        for ref, v in evidence:
+            chains.setdefault(v, [ref])
         changed = True
         while changed:
             changed = False
@@ -387,104 +409,77 @@ class DeductionState:
 
     def run_scans(self) -> bool:
         before = len(self.shared.log.steps)
-        # rows linking two variables; the mutex scan changes facts only, not rows
-        links = []
-        for ref in sorted(self.rows):
-            shape = _two_univariate(self.rows[ref])
-            if shape:
-                links.append((ref, shape))
-        chains = self._nonzero_closure(links)
+        # the scans before _scan_radical_rows add facts, never rows, so one
+        # classification of the rows serves all of them
+        links, evidence, squares = self._two_term_rows()
+        chains = self._nonzero_closure(links, evidence)
         self._scan_mutex(chains, links)
-        self._scan_square_cycles(chains)
+        self._scan_square_cycles(chains, squares)
         self._scan_radical_rows()
         return len(self.shared.log.steps) > before or bool(self.pending) or bool(self.dirty)
 
-    def _mutex_pairs_all(self):
-        pairs = dict(self.pair_mutex)
-        for group, ref in self.mutex_groups:
-            vs = sorted(group)
-            for i, a in enumerate(vs):
-                for b in vs[i + 1:]:
-                    pairs.setdefault(frozenset((a, b)), ref)
-        return pairs
-
     def _scan_mutex(self, chains, links):
-        pairs = self._mutex_pairs_all()
-        for key in sorted(pairs, key=sorted):
-            mref = pairs[key]
-            x, y = sorted(key)
+        # a pair from a row overrides the same pair from a leaf column
+        leaf, row_pairs = self.shared.mutex_pairs, self.pair_mutex
+        extra = sorted(key for key in row_pairs if key not in leaf)
+        for key in merge(leaf, extra):
+            x, y = key
             for a, b in ((x, y), (y, x)):
                 if a in chains and b not in self.zeros:
                     zref = self.emit(
                         "mutex-elim",
-                        [mref] + chains[a],
+                        [row_pairs.get(key, leaf.get(key))] + chains[a],
                         ("zero", b),
                         {"mode": "nonzero", "var": a},
                     )
                     self.add_zero(b, zref)
         # pair shapes: a linking two-monomial row zeroes both members
-        for ref, (x, y) in links:
-            mref = pairs.get(frozenset((x, y)))
+        for ref, key in links:
+            mref = row_pairs.get(key, leaf.get(key))
             if mref is None or ref == mref:
                 continue
-            for v in sorted((x, y)):
+            for v in key:
                 if v not in self.zeros:
                     zref = self.emit(
                         "mutex-elim", [mref, ref], ("zero", v), {"mode": "pair"}
                     )
                     self.add_zero(v, zref)
 
-    def _scan_square_cycles(self, chains):
-        # single rows a*x^2 + b*x with x known nonzero
-        for ref in sorted(self.rows):
-            p = self.rows[ref]
-            if len(p) != 2:
-                continue
-            pv = self.row_info[ref][1]
-            if len(pv) == 1:
-                v = pv[0]
-                if set(p) == {(v, v), (v,)} and v in chains and v not in self.values:
-                    val = Radical.from_rational(-p[(v,)] / p[(v, v)])
-                    vref = self.emit(
-                        "quad-solve-nonzero",
-                        [ref] + chains[v],
-                        ("value", v, val),
-                        {"mode": "single", "var": v},
-                    )
-                    self.add_value(v, val, vref)
+    def _scan_square_cycles(self, chains, squares):
+        # single rows x^2 = kappa*x with x known nonzero
+        for ref, x, y, kappa in squares:
+            if x == y and x in chains and x not in self.values:
+                val = Radical.from_rational(kappa)
+                vref = self.emit(
+                    "quad-solve-nonzero",
+                    [ref] + chains[x],
+                    ("value", x, val),
+                    {"mode": "single", "var": x},
+                )
+                self.add_value(x, val, vref)
         # cycles x^2 = kappa*y, y^2 = mu*x
         shapes = {}
-        for ref in sorted(self.rows):
-            s = _square_link(self.rows[ref])
-            if s:
-                x, y, kappa = s
+        for ref, x, y, kappa in squares:
+            if x != y:
                 shapes.setdefault((x, y), (ref, kappa))
-        for (x, y), (r1, kappa) in sorted(shapes.items()):
-            if x == y or (y, x) not in shapes:
+        for x, y in sorted(shapes):
+            if (y, x) not in shapes:
                 continue
-            r2, mu = shapes[(y, x)]
             witness = x if x in chains else (y if y in chains else None)
             if witness is None:
                 continue
-            if x not in self.values:
-                val = Radical.root(kappa * kappa * mu, 3)
-                vref = self.emit(
-                    "quad-solve-nonzero",
-                    [r1, r2] + chains[witness],
-                    ("value", x, val),
-                    {"mode": "pair", "var": x, "witness": witness},
-                )
-                self.add_value(x, val, vref)
-            if y not in self.values:
-                # from y's side the cycle reads y^2 = mu*x, x^2 = kappa*y
-                val = Radical.root(kappa * mu * mu, 3)
-                vref = self.emit(
-                    "quad-solve-nonzero",
-                    [r2, r1] + chains[witness],
-                    ("value", y, val),
-                    {"mode": "pair", "var": y, "witness": witness},
-                )
-                self.add_value(y, val, vref)
+            (r1, kappa), (r2, mu) = shapes[(x, y)], shapes[(y, x)]
+            # from y's side the cycle reads y^2 = mu*x, x^2 = kappa*y
+            for v, k, m, prem in ((x, kappa, mu, [r1, r2]), (y, mu, kappa, [r2, r1])):
+                if v not in self.values:
+                    val = Radical.root(k * k * m, 3)
+                    vref = self.emit(
+                        "quad-solve-nonzero",
+                        prem + chains[witness],
+                        ("value", v, val),
+                        {"mode": "pair", "var": v, "witness": witness},
+                    )
+                    self.add_value(v, val, vref)
 
     def _scan_radical_rows(self):
         """Rows whose variables are (almost) all pinned to radical values.
@@ -568,30 +563,6 @@ def _unindex(index: dict, keys, ref: Ref):
             del index[k]
 
 
-def _two_univariate(p: poly.Poly):
-    if len(p) != 2:
-        return None
-    vs = []
-    for m in p:
-        s = set(m)
-        if len(s) != 1:
-            return None
-        vs.append(s.pop())
-    if vs[0] == vs[1]:
-        return None
-    return tuple(sorted(vs))
-
-
-def _square_link(p: poly.Poly):
-    if len(p) != 2:
-        return None
-    sq = [m for m in p if len(m) == 2 and m[0] == m[1]]
-    lin = [m for m in p if len(m) == 1]
-    if len(sq) != 1 or len(lin) != 1:
-        return None
-    return sq[0][0], lin[0][0], -p[lin[0]] / p[sq[0]]
-
-
 def _eval_partial(p: poly.Poly, vals: dict[int, Radical]):
     rest: poly.Poly = {}
     const = RadicalSum()
@@ -614,13 +585,15 @@ def apply_leaf_rules(state: DeductionState) -> list[Ref]:
     sys, g = state.sys, state.sys.graph
     out: list[Ref] = []
     anchors_done = set()
+    pairs: dict[tuple[int, int], Ref] = {}
     for leaf in sorted(g.leaves()):
         anchor = next(iter(g.neighbors(leaf)))
         if anchor not in anchors_done:
             anchors_done.add(anchor)
             col = tuple(sys.var(i, anchor) for i in g.vertices())
             mref = state.emit("leaf-mutex", [], ("mutex", col))
-            state.mutex_groups.append((frozenset(col), mref))
+            # columns of distinct anchors share no variable, hence no pair
+            pairs.update(dict.fromkeys(combinations(sorted(col), 2), mref))
             out.append(mref)
         for twin in sorted(g.leaves()):
             if twin != leaf and g.neighbors(twin) == g.neighbors(leaf):
@@ -630,6 +603,7 @@ def apply_leaf_rules(state: DeductionState) -> list[Ref]:
                         zref = state.emit("leaf-twin-zero", [], ("zero", v))
                         state.add_zero(v, zref)
                         out.append(zref)
+    state.shared.mutex_pairs = dict(sorted(pairs.items()))
     return out
 
 

@@ -316,15 +316,16 @@ def bull_graph() -> Graph:
     return build_graph(5, [(1, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
 
 
-_FAMILY_ARITY = {
-    "path": (1, 1),
-    "cycle": (1, 1),
-    "star": (1, 1),
-    "complete_bipartite": (2, 2),
-    "caterpillar": (1, None),
-    "cmn": (2, 2),
-    "tadpole": (2, 2),
-    "bull": (0, 0),
+# name -> (constructor, fewest arguments, most arguments or None for no limit)
+_FAMILIES = {
+    "path": (path_graph, 1, 1),
+    "cycle": (cycle_graph, 1, 1),
+    "star": (star_graph, 1, 1),
+    "complete_bipartite": (complete_bipartite, 2, 2),
+    "caterpillar": (caterpillar, 1, None),
+    "cmn": (caterpillar, 2, 2),
+    "tadpole": (tadpole, 2, 2),
+    "bull": (bull_graph, 0, 0),
 }
 
 
@@ -336,9 +337,9 @@ def generate_family(descriptor: str) -> Graph:
     """
     name, _, argstr = descriptor.strip().partition(":")
     name = name.strip().lower()
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise InvalidParameter(f"unknown family {name!r}")
-    lo, hi = _FAMILY_ARITY[name]
+    fn, lo, hi = _FAMILIES[name]
     args: list[int] = []
     if argstr.strip():
         try:
@@ -347,21 +348,7 @@ def generate_family(descriptor: str) -> Graph:
             raise InvalidParameter(f"bad family arguments {argstr!r}") from exc
     if len(args) < lo or (hi is not None and len(args) > hi):
         raise InvalidParameter(f"family {name!r} takes {lo}{'' if hi == lo else '+'} arguments, got {len(args)}")
-    if name == "path":
-        return path_graph(args[0])
-    if name == "cycle":
-        return cycle_graph(args[0])
-    if name == "star":
-        return star_graph(args[0])
-    if name == "complete_bipartite":
-        return complete_bipartite(args[0], args[1])
-    if name == "caterpillar":
-        return caterpillar(*args)
-    if name == "cmn":
-        return caterpillar(args[0], args[1])
-    if name == "tadpole":
-        return tadpole(args[0], args[1])
-    return bull_graph()
+    return fn(*args)
 
 
 # -- edge-list files ----------------------------------------------------------

@@ -231,6 +231,21 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["search", "cycle:4", "--restarts", "0"], "--restarts"),
+            (["search", "cycle:4", "--seed", "-1"], "--seed"),
+            (["prove", "bull", "--depth", "-3"], "--depth"),
+        ],
+        ids=["restarts", "seed", "depth"],
+    )
+    def test_out_of_range_flags_rejected(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_sweep_empty_range_ok(self):
         code, out, _ = run_cli("sweep", "", "--fast", "--json")
         assert code == 0 and json.loads(out) == []

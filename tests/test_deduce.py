@@ -44,15 +44,19 @@ def fresh_state(g):
     return sys, DeductionState(shared)
 
 
+def anchor_columns(sys, state):
+    """The columns of the shared leaf-mutex pairs; a pair never spans two."""
+    cols = {tuple(sys.var_pair(v)[1] for v in pair) for pair in state.shared.mutex_pairs}
+    assert all(a == b for a, b in cols)
+    return {a for a, _ in cols}
+
+
 class TestLeafRules:
     def test_bull_anchor_mutexes(self):
         g = bull_graph()
         sys, state = fresh_state(g)
         apply_leaf_rules(state)
-        cols = set()
-        for group, _ in state.mutex_groups:
-            cols.add({sys.var_pair(v)[1] for v in group}.pop())
-        assert cols == {3, 4}  # anchors of the two pendant vertices
+        assert anchor_columns(sys, state) == {3, 4}  # anchors of the two pendant vertices
         assert not state.zeros  # bull is twin-free, no part-three zeros
 
     def test_twin_leaf_zeros_on_diameter_three_tree(self):
@@ -69,7 +73,7 @@ class TestLeafRules:
         g = path_graph(2)
         sys, state = fresh_state(g)
         apply_leaf_rules(state)
-        assert len(state.mutex_groups) == 2
+        assert anchor_columns(sys, state) == {1, 2}
         assert not state.zeros
 
 

@@ -464,6 +464,29 @@ def test_deep_and_open_proof_logs_byte_identical(desc, corpus_log):
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_LOG_SHA256[desc]
 
 
+# sha256 of dump_log's text for the logs that hold the multi-row scans'
+# rarer modes: mutex-elim/pair (twice in 1 547 steps),
+# quad-solve-nonzero/single (4 251 steps) and quad-solve-nonzero/pair
+# (20 steps in complete_bipartite:2,3).
+SCAN_LOG_SHA256 = {
+    "6: 1-5 2-3 2-4 2-5 3-4 3-5 5-6":
+        "01a22d4f463adc95e1aa7f5244d80d99ace9a06b1b5d91ce5f462bf505193335",
+    "6: 1-2 1-3 1-4 1-5 2-3 2-4 2-5 3-4 3-5 4-5 4-6 5-6":
+        "27f239d2cebc3264dc8955ef9a5e7f60924232853792cbd1ff85288718b892b4",
+    "complete_bipartite:2,3": "10bee2eb556e240485e639edab0f7f9a0d6f615b67a4d2076b0bc24d0042d6ba",
+}
+
+
+@pytest.mark.parametrize("desc", sorted(SCAN_LOG_SHA256))
+def test_scan_mode_logs_byte_identical(desc, rare_rule_logs, corpus_log):
+    if desc in rare_rule_logs:
+        sys_, log = rare_rule_logs[desc]
+        text = dump_log(log, sys_)
+    else:
+        _, text = corpus_log(desc)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_LOG_SHA256[desc]
+
+
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES)
 def test_indented_logs_of_earlier_versions_load(desc, corpus_log):
     # earlier versions wrote json.dumps(document, indent=1)
