@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush, merge
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import NoReturn
 
@@ -42,6 +42,8 @@ from .graphs import Graph
 from .homsystem import HomCandidate, HomSystem, derive_constraints, is_homomorphism_direct
 from .prooflog import FOUND_STRUCTURE, NULL_ONLY, UNKNOWN, ProofLog, Ref, Step, _gc_paused
 from .radicals import Radical, RadicalSum
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,11 @@ class _Shared:
         self.open_leaves = 0
         self.witness: HomCandidate | None = None  # of the first open leaf that has one
         self.depth_cut = False
-        # (x, y) with x < y -> its leaf-mutex step, in ascending pair order;
-        # filled once by apply_leaf_rules and read by every branch
+        # (x, y) with x < y -> its leaf-mutex step, in ascending pair order,
+        # and each variable -> the pairs it is in; filled once by
+        # apply_leaf_rules and read by every branch
         self.mutex_pairs: dict[tuple[int, int], Ref] = {}
+        self.mutex_by_var: dict[int, list[tuple[int, int]]] = {}
 
 
 class DeductionState:
@@ -211,7 +215,7 @@ class DeductionState:
 
     def _reduce(self, ref: Ref, p: poly.Poly):
         """Full reduction against the basis; one lincomb step if it changed."""
-        parts = [(ref, Fraction(1))]
+        parts = [(ref, _ONE)]
         cur = dict(p)
         basis = self.basis
         while True:
@@ -222,7 +226,7 @@ class DeductionState:
             m = min(hits, key=poly.mono_key)
             hit = basis[m]
             row = self.rows[hit]
-            lam = -cur[m] / row[m]
+            lam = poly.neg_quotient(cur[m], row[m])
             poly.add_scaled_to(cur, row, lam)
             parts.append((hit, lam))
         if len(parts) == 1:
@@ -280,7 +284,7 @@ class DeductionState:
             dref = self.basis[(v,)]
             dpoly = self.rows[dref]
             c = dpoly[(v,)]
-            repl = {m: -cc / c for m, cc in dpoly.items() if m != (v,)}
+            repl = {m: poly.neg_quotient(cc, c) for m, cc in dpoly.items() if m != (v,)}
             ref, p = self._subst(ref, p, v, dref, repl)
             ref, p = self._substitute_facts(ref, p)
         res = self._reduce(ref, p)
@@ -300,7 +304,7 @@ class DeductionState:
         holders = sorted(self.mono_rows.get(lead, ()))
         for r in holders:
             q = self._remove_row(r)
-            lam = -q[lead] / p[lead]
+            lam = poly.neg_quotient(q[lead], p[lead])
             nq = poly.add_scaled(q, p, lam)
             if not nq:
                 continue
@@ -308,7 +312,7 @@ class DeductionState:
                 "substitute",
                 [r, ref],
                 ("row", nq),
-                {"op": "lincomb", "parts": [(r, Fraction(1)), (ref, lam)]},
+                {"op": "lincomb", "parts": [(r, _ONE), (ref, lam)]},
             )
             if set(nq) == {poly.CONST}:
                 self.contradict("value-conflict", [nref], {"mode": "eval"})
@@ -384,7 +388,7 @@ class DeductionState:
             if (len(m) == 1 or square) and len(set(n)) == 1 and m[0] != n[0]:
                 links.append((ref, (m[0], n[0]) if m[0] < n[0] else (n[0], m[0])))
             if square and len(n) == 1:
-                squares.append((ref, m[0], n[0], -p[n] / p[m]))
+                squares.append((ref, m[0], n[0], poly.neg_quotient(p[n], p[m])))
         return links, evidence, squares
 
     def _nonzero_closure(self, links, evidence) -> dict[int, list[Ref]]:
@@ -419,10 +423,13 @@ class DeductionState:
         return len(self.shared.log.steps) > before or bool(self.pending) or bool(self.dirty)
 
     def _scan_mutex(self, chains, links):
+        # only a pair with a member in chains can fire, in ascending pair order;
         # a pair from a row overrides the same pair from a leaf column
         leaf, row_pairs = self.shared.mutex_pairs, self.pair_mutex
-        extra = sorted(key for key in row_pairs if key not in leaf)
-        for key in merge(leaf, extra):
+        by_var = self.shared.mutex_by_var
+        keys = {key for v in chains for key in by_var.get(v, ())}
+        keys.update(key for key in row_pairs if key[0] in chains or key[1] in chains)
+        for key in sorted(keys):
             x, y = key
             for a, b in ((x, y), (y, x)):
                 if a in chains and b not in self.zeros:
@@ -604,6 +611,9 @@ def apply_leaf_rules(state: DeductionState) -> list[Ref]:
                         state.add_zero(v, zref)
                         out.append(zref)
     state.shared.mutex_pairs = dict(sorted(pairs.items()))
+    for key in state.shared.mutex_pairs:
+        for v in key:
+            state.shared.mutex_by_var.setdefault(v, []).append(key)
     return out
 
 
@@ -630,16 +640,15 @@ def apply_leaf_twin_cross_rules(state: DeductionState) -> list[Ref]:
                     zref = state.emit("leaf-twin-cross", [], ("zero", v))
                     state.add_zero(v, zref)
                     out.append(zref)
-            one = Fraction(1)
             rows = [
                 poly.poly_from_terms(
-                    [(one, (sys.var(kw, l),)), (-one, (sys.var(kw, u),))]
+                    [(_ONE, (sys.var(kw, l),)), (-_ONE, (sys.var(kw, u),))]
                 ),
                 poly.poly_from_terms(
-                    [(one, (sys.var(w, kl), sys.var(w, kl))), (-one, (sys.var(kw, l),))]
+                    [(_ONE, (sys.var(w, kl), sys.var(w, kl))), (-_ONE, (sys.var(kw, l),))]
                 ),
                 poly.poly_from_terms(
-                    [(one, (sys.var(w, kl), sys.var(w, kl))), (-one, (sys.var(kw, u),))]
+                    [(_ONE, (sys.var(w, kl), sys.var(w, kl))), (-_ONE, (sys.var(kw, u),))]
                 ),
             ]
             for p in rows:

@@ -17,9 +17,9 @@ functions, and the replayer reads ``lam`` from logs it does not trust.
 Every coefficient is a ``Fraction`` in lowest terms with a positive
 denominator, the one form ``Fraction`` itself normalises to, so equal
 values agree in every respect (numerator, denominator, hash, text).
-``add_scaled`` and ``substitute_var`` compute on the integer
-numerators and denominators of their coefficients and build each result
-directly in that form, as ``Fraction``'s own arithmetic does, without
+``add_scaled``, ``substitute_var`` and ``neg_quotient`` compute on the
+integer numerators and denominators of their coefficients and build each
+result directly in that form, as ``Fraction``'s own arithmetic does, without
 its operator dispatch or the constructor's normalisation.  They read and
 write the ``_numerator`` and ``_denominator`` slots of CPython's
 ``Fraction``; ``tests/test_poly.py`` checks their results against
@@ -71,6 +71,25 @@ def _mul(a: Fraction, b: Fraction) -> Fraction:
         nb //= g2
         da //= g2
     return _frac(na * nb, da * db)
+
+
+def neg_quotient(a: Fraction, b: Fraction) -> Fraction:
+    """-a / b in lowest terms, cancelling across before multiplying."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    if not nb:
+        raise ZeroDivisionError(f"Fraction({na}, 0)")
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(da, db)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    if nb < 0:
+        return _frac(na * db, -da * nb)
+    return _frac(-na * db, da * nb)
 
 
 def _sum(a: Fraction, b: Fraction) -> Fraction:

@@ -394,7 +394,7 @@ class _Replayer:
             row = concl[1]
             if any(len(m) > 1 for m in row) or (v,) not in row:
                 self.fail(step, "definition row is not affine in the variable")
-            return {m: -c / row[(v,)] for m, c in row.items() if m != (v,)}
+            return {m: poly.neg_quotient(c, row[(v,)]) for m, c in row.items() if m != (v,)}
         if not (_is_zero(concl) and concl[1] == v):
             self.fail(step, "premise does not set the variable to zero")
         return {}

@@ -9,10 +9,14 @@ the deduction engine certifies.
 
 Residuals and the normal equations (J^T J and J^T r) come from the
 matrix form of the constraint system, ``T diag(A_r) T^T - diag((P T)[:, r])``
-for each vertex r, in O(n^4) per candidate; no Jacobian is built.  All
-restarts advance together, one stacked solve per iteration, each with
-its own damping and stopping rules.  They run in blocks whose stacked
-n^2 x n^2 normal matrices fit in ``BLOCK_BYTES``, which bounds memory.
+for each vertex r; no Jacobian is built.  Per candidate and step, the
+dense term of J^T J costs n^4, the two adjacency terms are written only
+on the graph's edge pattern ((2|E|)^2 entries), and the products M_r are
+computed once, at the trial point, and carried to the next step.  What
+dominates from n = 20 on is the dense n^2 x n^2 solve.  All restarts
+advance together, one stacked solve per iteration, each with its own
+damping and stopping rules.  They run in blocks whose stacked n^2 x n^2
+normal matrices fit in ``BLOCK_BYTES``, which bounds memory.
 
 For regular and biregular graphs the isomorphism is written down in
 closed form: (1/k) * I in the regular case, and a diagonal map with
@@ -73,7 +77,7 @@ class _MatrixForm:
     constraints are ``M[r, i, j]`` for i < j, the square constraints
     ``S[r, i] = M[r, i, i] - (P T)[i, r]``.  ``A`` is the adjacency matrix
     and ``P = D^-1 A`` (a zero row on the one-vertex graph).  Residuals
-    and normal equations cost O(n^4) per candidate.
+    cost O(n^4) per candidate; see ``normal_equations`` for its terms.
     """
 
     def __init__(self, g: Graph):
@@ -85,42 +89,63 @@ class _MatrixForm:
         self.C = A.T @ A
         self.Q = self.P.T @ self.P
         self.iu = np.triu_indices(n, 1)
+        # The A-terms of J^T J sit where A_kl != 0 and A_pq != 0 (P has A's
+        # pattern), and A_kl = 1 there: flat (p, k, q, l) indices, ascending,
+        # with the other factors of the terms.
+        edges = np.flatnonzero(A)
+        (p, q), (k, l) = (np.divmod(e, n) for e in np.meshgrid(edges, edges, indexing="ij"))
+        self.pattern = np.sort((((p * n + k) * n + q) * n + l).reshape(-1))
+        self.pk, self.ql = np.divmod(self.pattern, n * n)  # T_pk, T_ql in the flat candidate
+        p, q = self.pk // n, self.ql // n
+        self.Ppq, self.Pqp = self.P[p, q], self.P[q, p]
 
-    def _products(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """M[b, r, i, j] and the square residuals S[b, r, i]."""
-        M = (T[:, None, :, :] * self.A[None, :, None, :]) @ T.transpose(0, 2, 1)[:, None]
-        S = np.diagonal(M, axis1=2, axis2=3) - (self.P @ T).transpose(0, 2, 1)
-        return M, S
+    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The residuals at the flat candidates ``X`` (B x n^2), in constraint
+        order, and the products ``normal_equations`` reads there.
+
+        The products are ``R[b, r]``, which is ``M_r`` with twice the square
+        residuals on its diagonal, and the square residuals ``S[b, r, i]``.
+        """
+        B = len(X)
+        T = X.reshape(B, self.n, self.n)
+        R = (T[:, None, :, :] * self.A[None, :, None, :]) @ T.transpose(0, 2, 1)[:, None]
+        S = np.diagonal(R, axis1=2, axis2=3) - (self.P @ T).transpose(0, 2, 1)
+        # twice the square residuals on the diagonal, so that J^T r sums
+        # A_rk (R_r T)_pk over r
+        np.einsum("brii->bri", R)[...] = 2.0 * S
+        i, j = self.iu
+        r = np.concatenate([R[:, :, i, j].reshape(B, -1), S.reshape(B, -1)], axis=1)
+        return r, R, S
 
     def residuals(self, X: np.ndarray) -> np.ndarray:
         """Residuals of the flat candidates ``X`` (B x n^2), in constraint order."""
-        T = X.reshape(len(X), self.n, self.n)
-        M, S = self._products(T)
-        i, j = self.iu
-        return np.concatenate(
-            [M[:, :, i, j].reshape(len(X), -1), S.reshape(len(X), -1)], axis=1
-        )
+        return self.evaluate(X)[0]
 
-    def normal_equations(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``J^T J`` (B x n^2 x n^2) and ``J^T r`` (B x n^2) at the flat candidates."""
-        B, n, A, C = len(X), self.n, self.A, self.C
+    def normal_equations(
+        self, X: np.ndarray, R: np.ndarray, S: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``J^T J`` (B x n^2 x n^2) and ``J^T r`` (B x n^2) at the flat candidates,
+        from the products ``evaluate`` returned for them.
+
+        The dense term ``C_kl T_qk T_pl`` costs B n^4; the two A-terms are
+        written only on the edge pattern, (2|E|)^2 entries, and the diagonal
+        terms cost B n^3.
+        """
+        B, n, C = len(X), self.n, self.C
         T = X.reshape(B, n, n)
-        M, S = self._products(T)
-        # M_r becomes R_r: the product residuals off the diagonal, twice the
-        # square residuals on it, so that J^T r sums A_rk (R_r T)_pk over r
-        np.einsum("brii->bri", M)[...] = 2.0 * S
-        Jr = np.einsum("rk,brpk->bpk", A, M @ T[:, None]) - (S @ self.P).transpose(0, 2, 1)
+        Jr = np.einsum("rk,brpk->bpk", self.A, R @ T[:, None]) - (S @ self.P).transpose(0, 2, 1)
         # J^T J[(p,k),(q,l)] = delta_pq C_kl (G_kl + 2 T_pk T_pl) + C_kl T_qk T_pl
         #                      - 2 A_kl (T_pk P_pq + T_ql P_qp) + delta_kl Q_pq
         H = np.multiply(
             T[:, :, None, None, :] * C[:, None, :],
             T.transpose(0, 2, 1)[:, None, :, :, None],
-            order="C",  # so that the n^2 x n^2 view below is not a copy
+            order="C",  # so that the flat views below are not copies
         )
-        TA = T[:, :, :, None] * (2.0 * A)  # 2 T_pk A_kl
-        E = TA[:, :, :, None, :] * self.P[:, None, :, None]
-        H -= E
-        H -= np.multiply(TA.transpose(0, 3, 1, 2)[:, None], self.P.T[:, None, :, None], out=E)
+        flat = H.reshape(B, n**4)
+        on = flat[:, self.pattern]
+        on -= (2.0 * X[:, self.pk]) * self.Ppq
+        on -= (2.0 * X[:, self.ql]) * self.Pqp
+        flat[:, self.pattern] = on
         G = T.transpose(0, 2, 1) @ T
         np.einsum("bpkpl->bpkl", H)[...] += C * (G[:, None] + 2.0 * T[:, :, :, None] * T[:, :, None, :])
         np.einsum("bpkqk->bpkq", H)[...] += self.Q[:, None, :]
@@ -129,35 +154,39 @@ class _MatrixForm:
 
 def gradient(sys: HomSystem, T) -> np.ndarray:
     """Analytic gradient of the squared-residual sum at a float candidate."""
-    x = np.asarray(T, dtype=np.float64).reshape(-1)
+    x = np.asarray(T, dtype=np.float64).reshape(1, -1)
     if x.size != sys.num_vars:
         raise ValueError(f"candidate has {x.size} entries, system expects {sys.num_vars}")
-    _, Jr = _MatrixForm(sys.graph).normal_equations(x[None])
+    form = _MatrixForm(sys.graph)
+    _, Jr = form.normal_equations(x, *form.evaluate(x)[1:])
     return (2.0 * Jr[0]).reshape(sys.n, sys.n)
 
 
-def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> np.ndarray:
+def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped least squares from each row of ``X0``, all rows advanced together.
 
     Each row keeps its own schedule: damping is multiplied by 10 on a
     failed or singular step and divided by 10 on success; a row stops
     at a residual below 1e-14, an accepted step below 1e-15, or damping
-    above 1e12.
+    above 1e12.  Each row carries the products ``form.evaluate`` gave at
+    its point, so they are computed once per step, at the trial point.
+    Returns the final points and their residuals.
     """
     X = X0.copy()
     N = X.shape[1]
     live = np.arange(len(X))  # rows still iterating
-    r = form.residuals(X)
+    r, R, S = form.evaluate(X)
+    final = r  # every row's residuals; r, R and S below hold the live rows'
     cost = np.sum(r * r, axis=1)
     lam = np.full(len(X), 1e-3)
     stop = np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
         keep = ~stop & (np.abs(r).max(axis=1) >= 1e-14)
-        live, r, cost, lam = live[keep], r[keep], cost[keep], lam[keep]
+        live, r, cost, lam, R, S = live[keep], r[keep], cost[keep], lam[keep], R[keep], S[keep]
         if not len(live):
             break
         x = X[live]
-        H, g = form.normal_equations(x)
+        H, g = form.normal_equations(x, R, S)
         H.reshape(len(live), N * N)[:, :: N + 1] += lam[:, None]
         solved = np.ones(len(live), dtype=bool)
         try:
@@ -169,14 +198,15 @@ def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> np.ndarray
                     delta[b] = -np.linalg.solve(H[b], g[b])
                 except np.linalg.LinAlgError:
                     solved[b] = False
-        rn = form.residuals(x + delta)
+        rn, Rn, Sn = form.evaluate(x + delta)
         costn = np.sum(rn * rn, axis=1)
         better = solved & (costn < cost)
         X[live[better]] += delta[better]
-        r[better], cost[better] = rn[better], costn[better]
+        final[live[better]] = rn[better]
+        r[better], cost[better], R[better], S[better] = rn[better], costn[better], Rn[better], Sn[better]
         lam = np.where(better, np.maximum(lam / 10.0, 1e-13), lam * 10.0)
         stop = np.where(better, np.abs(delta).max(axis=1) < 1e-15, solved & (lam > 1e12))
-    return X
+    return X, final
 
 
 _RADICAL_BASES = sorted(
@@ -241,8 +271,8 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     block = max(1, BLOCK_BYTES // (8 * n**4))
     found: list[tuple[float, int, np.ndarray]] = []  # residual, restart, point
     for first in range(0, cfg.restarts, block):
-        X = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
-        res = np.abs(form.residuals(X)).max(axis=1)
+        X, r = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
+        res = np.abs(r).max(axis=1)
         for b, x in enumerate(X):
             if np.max(np.abs(x)) >= TOL_NULL:
                 found.append((float(res[b]), first + b, x))

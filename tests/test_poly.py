@@ -14,6 +14,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,6 +146,16 @@ def test_kernel_product_and_sum_match_fraction(a, b):
     same_fraction(poly._mul(a, b), a * b)
     same_fraction(poly._sum(a, b), a + b)
     same_fraction(poly._sum(a, -a), Fraction(0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(FRACTIONS, FRACTIONS)
+def test_kernel_negated_quotient_matches_fraction(a, b):
+    if b:
+        same_fraction(poly.neg_quotient(a, b), -a / b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            poly.neg_quotient(a, b)
 
 
 @given(polys(), polys())

@@ -18,6 +18,8 @@ from evograph.homsystem import HomCandidate, derive_constraints, is_homomorphism
 from evograph import search
 from evograph.radicals import Radical
 from evograph.search import (
+    INIT_SCALE,
+    MAX_ITERATIONS,
     NONE_FOUND,
     TOL_NULL,
     TOL_RESIDUAL,
@@ -134,12 +136,12 @@ class TestMatrixForm:
         form = _MatrixForm(sys.graph)
         rng = np.random.default_rng(11)
         X = rng.uniform(-1.5, 1.5, size=(2, sys.num_vars))
-        R = form.residuals(X)
-        H, g = form.normal_equations(X)
+        r, R, S = form.evaluate(X)
+        H, g = form.normal_equations(X, R, S)
         for b, x in enumerate(X):
             T = HomCandidate.from_rows(x.reshape(sys.n, sys.n).tolist())
             expected = np.array(residual(sys, T).values, dtype=np.float64)
-            np.testing.assert_allclose(R[b], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(r[b], expected, rtol=0, atol=1e-12)
             J = dense_jacobian(sys, x)
             np.testing.assert_allclose(g[b], J.T @ expected, rtol=0, atol=1e-12)
             np.testing.assert_allclose(H[b], J.T @ J, rtol=0, atol=1e-12)
@@ -149,18 +151,60 @@ class TestBatchedMinimizer:
     def test_singular_step_stays_with_its_restart(self):
         # residual x, Jacobian I; row 0's damped normal matrix is singular
         class Form:
-            def residuals(self, X):
-                return X.copy()
+            def evaluate(self, X):
+                return X.copy(), X.copy(), -X  # the products are x and -x
 
-            def normal_equations(self, X):
+            def normal_equations(self, X, R, S):
+                assert np.array_equal(R, X) and np.array_equal(S, -X)
                 H = np.stack([np.eye(X.shape[1]) for _ in X])
                 H[0] *= -1e-3  # cancelled exactly by the initial damping
                 return H, X.copy()
 
         X0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        X = _lm_minimize(Form(), X0, max_iter=1)
+        X, r = _lm_minimize(Form(), X0, max_iter=1)
         assert np.array_equal(X[0], X0[0])
         np.testing.assert_allclose(X[1], X0[1] * (1e-3 / (1 + 1e-3)), rtol=1e-12)
+        assert np.array_equal(r, X)
+
+
+class _Recording(_MatrixForm):
+    """A matrix form that checks each carried product against a fresh one
+    and counts the rows whose last step was rejected."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.last, self.rejected = set(), 0
+
+    def normal_equations(self, X, R, S):
+        _, R0, S0 = self.evaluate(X)
+        assert R.tobytes() == R0.tobytes() and S.tobytes() == S0.tobytes()
+        points = {x.tobytes() for x in X}
+        self.rejected += len(points & self.last)
+        self.last = points
+        return super().normal_equations(X, R, S)
+
+
+class TestCarriedProducts:
+    """Each row's products are carried between steps, bit for bit."""
+
+    @pytest.mark.parametrize("desc", ["cycle:6", "bull", "cmn:2,2"])
+    def test_stacked_rows_match_rows_alone(self, desc):
+        form = _Recording(generate_family(desc))
+        X0 = np.random.default_rng(2).uniform(-INIT_SCALE, INIT_SCALE, size=(8, form.n**2))
+        X, r = _lm_minimize(form, X0, MAX_ITERATIONS)
+        if desc != "cycle:6":  # carried products on rejected rows too
+            assert form.rejected > 0
+        for b, x0 in enumerate(X0):
+            xb, rb = _lm_minimize(form, x0[None], MAX_ITERATIONS)
+            assert xb[0].tobytes() == X[b].tobytes() and rb[0].tobytes() == r[b].tobytes()
+
+    @pytest.mark.parametrize("desc", ["cycle:6", "bull", "cmn:2,2", "path:1"])
+    def test_returned_residuals_are_those_of_the_points(self, desc):
+        form = _MatrixForm(generate_family(desc))
+        X0 = np.random.default_rng(4).uniform(-INIT_SCALE, INIT_SCALE, size=(6, form.n**2))
+        for max_iter in (0, 3, MAX_ITERATIONS):
+            X, r = _lm_minimize(form, X0, max_iter)
+            assert r.tobytes() == form.residuals(X).tobytes()
 
 
 class TestReconstruction:
@@ -218,7 +262,9 @@ class TestTieBreak:
 
     @staticmethod
     def search_over(monkeypatch, g, X):
-        monkeypatch.setattr(search, "_lm_minimize", lambda form, starts, max_iter: X)
+        monkeypatch.setattr(
+            search, "_lm_minimize", lambda form, starts, max_iter: (X, form.residuals(X))
+        )
         return find_homomorphism(g, SearchConfig(restarts=len(X), seed=0))
 
     def test_float_noise_does_not_pick_the_point(self, monkeypatch):
