@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, adjacency_matrix
-from .radicals import RadicalSum
 
 ADJACENCY = "adjacency"
 RANDOM_WALK = "random-walk"
@@ -61,13 +60,7 @@ class Element:
         return Element(tuple(c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(_scalar_is_zero(a) for a in self.coeffs)
-
-
-def _scalar_is_zero(a) -> bool:
-    if isinstance(a, RadicalSum):
-        return a.is_zero
-    return a == 0
+        return not any(self.coeffs)
 
 
 def build_adjacency_algebra(g: Graph) -> EvolutionAlgebra:
@@ -89,23 +82,17 @@ def build_rw_algebra(g: Graph) -> EvolutionAlgebra:
 def multiply(alg: EvolutionAlgebra, x: Element, y: Element) -> Element:
     """Bilinear product: cross terms vanish, squares expand by M.
 
-    The result is sum_i x_i * y_i * row_i(M).  Works over Fractions and
-    over RadicalSum coordinates alike.
+    The result is sum_i x_i * y_i * row_i(M), over floats or over any mix
+    of Fraction, int and RadicalSum (which meets rationals on either side).
     """
     if len(x.coeffs) != alg.n or len(y.coeffs) != alg.n:
         raise DimensionMismatch(
             f"element lengths {len(x.coeffs)},{len(y.coeffs)} vs algebra dimension {alg.n}"
         )
-    radical = any(isinstance(c, RadicalSum) for c in x.coeffs + y.coeffs)
-    zero = RadicalSum() if radical else Fraction(0)
-    acc = [zero] * alg.n
+    acc = [Fraction(0)] * alg.n
     for i in range(alg.n):
-        xi, yi = x.coeffs[i], y.coeffs[i]
-        if radical:
-            xi = xi if isinstance(xi, RadicalSum) else RadicalSum.from_rational(xi)
-            yi = yi if isinstance(yi, RadicalSum) else RadicalSum.from_rational(yi)
-        prod = xi * yi
-        if _scalar_is_zero(prod):
+        prod = x.coeffs[i] * y.coeffs[i]
+        if not prod:
             continue
         row = alg.M[i]
         for k in range(alg.n):

@@ -23,12 +23,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
+from .algebra import build_rw_algebra
 from .deduce import Budget, prove_null_only
 from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    adjacency_matrix,
     classify_regularity,
     format_edge_list,
     generate_family,
@@ -36,7 +39,7 @@ from .graphs import (
     parse_edge_list,
     twin_partition,
 )
-from .homsystem import derive_constraints
+from .homsystem import derive_constraints, is_isomorphism
 from .prooflog import NULL_ONLY, dump_log, dump_system, replay_proof
 from .search import (
     NONE_FOUND,
@@ -312,10 +315,6 @@ def cmd_paper(args) -> int:
         ok = ok and passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f"  ({detail})" if detail else ""))
 
-    from fractions import Fraction
-    from .algebra import build_rw_algebra
-    from .graphs import adjacency_matrix
-
     t41 = generate_family("tadpole:4,1")
     fig = [[0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, 1, 0, 1], [0, 0, 0, 1, 0]]
     check("tadpole(4,1) adjacency matrix", adjacency_matrix(t41) == [[Fraction(x) for x in r] for r in fig])
@@ -330,7 +329,6 @@ def cmd_paper(args) -> int:
     for inst in ISO_INSTANCES:
         g = generate_family(inst)
         cand = closed_form_iso(g)
-        from .homsystem import is_isomorphism
         check(f"closed-form isomorphism {inst}", cand is not None and is_isomorphism(g, cand))
 
     budget = Budget(max_depth=args.depth)

@@ -804,12 +804,12 @@ def _leaf_witness(leaf: DeductionState) -> HomCandidate | None:
         for k in range(1, sys.n + 1):
             v = sys.var(i, k)
             if v in leaf.zeros:
-                row.append(RadicalSum())
+                row.append(Radical.from_rational(0))
             elif v in leaf.values:
-                row.append(RadicalSum.from_radical(leaf.values[v][0]))
+                row.append(leaf.values[v][0])
                 ok = True
             else:
                 return None
-        entries.append(tuple(row))
-    cand = HomCandidate(tuple(entries))
+        entries.append(row)
+    cand = HomCandidate.from_radicals(entries)
     return cand if ok and is_homomorphism_direct(sys.graph, cand) else None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .algebra import DimensionMismatch, Element, _scalar_is_zero, build_adjacency_algebra, build_rw_algebra, multiply
+from .algebra import DimensionMismatch, Element, build_adjacency_algebra, build_rw_algebra, multiply
 from .graphs import Graph
 from .radicals import RadicalSum
 
@@ -56,13 +56,19 @@ class HomSystem:
 
 @dataclass(frozen=True)
 class HomCandidate:
-    """An n x n coefficient matrix; entries may be Fraction, float or RadicalSum."""
+    """An n x n coefficient matrix of any mix of Fraction, int and RadicalSum
+    entries, or of floats; exact candidates the library builds hold RadicalSums."""
 
     entries: tuple[tuple, ...]
 
     @staticmethod
     def from_rows(rows) -> "HomCandidate":
         return HomCandidate(tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def from_radicals(rows) -> "HomCandidate":
+        """The exact candidate with these Radical entries, each as a RadicalSum."""
+        return HomCandidate(tuple(tuple(RadicalSum.from_radical(r) for r in row) for row in rows))
 
     @staticmethod
     def zero(n: int) -> "HomCandidate":
@@ -118,7 +124,7 @@ class ResidualReport:
     max_norm: float
 
     def is_exact_zero(self) -> bool:
-        return all(_scalar_is_zero(v) for v in self.values)
+        return not any(self.values)
 
 
 def residual(sys: HomSystem, T: HomCandidate) -> ResidualReport:
@@ -126,25 +132,22 @@ def residual(sys: HomSystem, T: HomCandidate) -> ResidualReport:
     if T.n != sys.n:
         raise DimensionMismatch(f"candidate is {T.n}x{T.n}, system has n={sys.n}")
     flat = [x for row in T.entries for x in row]
-    coerce = any(isinstance(x, RadicalSum) for x in flat)
-    if coerce:
-        flat = [_coerce_radical(x) for x in flat]
     values = tuple(poly.evaluate(c.p, flat.__getitem__) for c in sys.constraints)
     norm = max((abs(float(v)) for v in values), default=0.0)
     return ResidualReport(values, norm)
 
 
-def _apply_candidate(T: HomCandidate, z: Element, zero) -> Element:
+def _apply_candidate(T: HomCandidate, z: Element) -> Element:
     """Image of an element under the linear map with coefficient matrix T."""
     n = T.n
-    acc = [zero] * n
+    acc = [Fraction(0)] * n
     for i in range(n):
         zi = z.coeffs[i]
-        if _scalar_is_zero(zi):
+        if not zi:
             continue
         for k in range(n):
             e = T.entries[i][k]
-            if not _scalar_is_zero(e):
+            if e:
                 acc[k] = acc[k] + e * zi
     return Element(tuple(acc))
 
@@ -160,13 +163,11 @@ def is_homomorphism_direct(g: Graph, T: HomCandidate) -> bool:
         raise DimensionMismatch(f"candidate is {T.n}x{T.n}, graph has n={g.n}")
     dom = build_rw_algebra(g)
     cod = build_adjacency_algebra(g)
-    radical = any(isinstance(x, RadicalSum) for row in T.entries for x in row)
-    zero = RadicalSum() if radical else Fraction(0)
     images = [Element(tuple(T.entries[i])) for i in range(g.n)]
     for i in g.vertices():
         for j in range(i, g.n + 1):
             lhs_dom = multiply(dom, dom.basis_element(i), dom.basis_element(j))
-            lhs = _apply_candidate(T, lhs_dom, zero)
+            lhs = _apply_candidate(T, lhs_dom)
             rhs = multiply(cod, images[i - 1], images[j - 1])
             diff = lhs + rhs.scale(Fraction(-1))
             if not diff.is_zero():
@@ -187,7 +188,7 @@ def rank(rows) -> int:
     candidate produced by the closed-form constructions is diagonal, so
     a suitable pivot always exists there.
     """
-    m = [[_coerce_radical(x) for x in row] for row in rows]
+    m = [[x if isinstance(x, RadicalSum) else RadicalSum.from_rational(x) for x in row] for row in rows]
     r = 0
     for c in range(len(m[0]) if m else 0):
         piv = None
@@ -208,7 +209,3 @@ def rank(rows) -> int:
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
-
-
-def _coerce_radical(x) -> RadicalSum:
-    return x if isinstance(x, RadicalSum) else RadicalSum.from_rational(x)

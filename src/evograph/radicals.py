@@ -5,15 +5,17 @@ coefficient ``c``, prime bases ``p`` and rational exponents ``e_p`` in
 the open interval (0, 1).  This normal form is unique: distinct products
 of prime powers with fractional exponents are multiplicatively
 independent, so two radicals are equal iff their normal forms match.
-The class is closed under multiplication, division, integer powers and
-n-th roots (of nonnegative values for even n), which covers every scalar
-arising from the cube/square-root solving steps downstream, e.g.
+The class is closed under multiplication, division and integer powers,
+and ``Radical.root`` takes exact n-th roots of rationals, which covers
+every scalar arising from the cube/square-root solving steps downstream, e.g.
 ``2**Fraction(-2,3)`` or ``(k1*k1*k2)**Fraction(-1,3)``.
 
 A :class:`RadicalSum` is a formal rational combination of radical terms
 keyed by their radical part.  Sums and products stay exact, and the zero
 test is decidable: by linear independence of distinct radical parts over
 the rationals, a sum vanishes iff every grouped coefficient vanishes.
+A RadicalSum adds and multiplies with ``int`` and ``Fraction`` on either
+side and is true iff nonzero; ``==`` holds between two RadicalSums only.
 """
 
 from __future__ import annotations
@@ -324,23 +326,6 @@ class Radical:
             out = out * self
         return out
 
-    def nth_root(self, n: int) -> "Radical":
-        """Exact real n-th root (even n requires a nonnegative value)."""
-        if self.is_zero:
-            return self
-        sign = 1
-        coeff = self.coeff
-        if coeff < 0:
-            if n % 2 == 0:
-                raise ValueError(f"even root of negative radical {self}")
-            sign, coeff = -1, -coeff
-        base = Radical.root(coeff, n)
-        exps = {p: e for p, e in base.parts}
-        for p, e in self.parts:
-            exps[p] = exps.get(p, Fraction(0)) + e / n
-        c, parts = _normalize(sign * base.coeff, exps)
-        return Radical(c, parts)
-
     def __neg__(self) -> "Radical":
         return Radical(-self.coeff, self.parts)
 
@@ -406,6 +391,9 @@ class RadicalSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_single_term(self) -> bool:
         return len(self.terms) <= 1
 
@@ -417,11 +405,15 @@ class RadicalSum:
         parts, coeff = next(iter(self.terms.items()))
         return Radical(coeff, parts)
 
-    def __add__(self, other: "RadicalSum") -> "RadicalSum":
+    def __add__(self, other) -> "RadicalSum":
+        if isinstance(other, (int, Fraction)):
+            other = RadicalSum.from_rational(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
         return RadicalSum(out)
+
+    __radd__ = __add__
 
     def __sub__(self, other: "RadicalSum") -> "RadicalSum":
         return self + (-other)

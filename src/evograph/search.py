@@ -33,7 +33,7 @@ import numpy as np
 
 from .graphs import Graph, classify_regularity
 from .homsystem import HomCandidate, HomSystem, is_homomorphism_direct, is_isomorphism
-from .radicals import Radical, RadicalSum
+from .radicals import Radical
 
 NONE_FOUND = "none-found"
 CANDIDATE = "candidate"
@@ -231,24 +231,11 @@ def reconstruct_scalar(x: float, tol: float = 1e-8) -> Radical | None:
 
 def _reconstruct_matrix(x: np.ndarray, n: int) -> HomCandidate | None:
     entries = []
-    all_rational = True
-    for i in range(n):
-        row = []
-        for k in range(n):
-            rad = reconstruct_scalar(float(x[i * n + k]))
-            if rad is None:
-                return None
-            if not rad.is_rational:
-                all_rational = False
-            row.append(rad)
-        entries.append(row)
-    if all_rational:
-        return HomCandidate.from_rows(
-            [[r.as_rational() for r in row] for row in entries]
-        )
-    return HomCandidate.from_rows(
-        [[RadicalSum.from_radical(r) for r in row] for row in entries]
-    )
+    for v in x:
+        if (rad := reconstruct_scalar(float(v))) is None:
+            return None
+        entries.append(rad)
+    return HomCandidate.from_radicals([entries[i * n : (i + 1) * n] for i in range(n)])
 
 
 def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -306,9 +293,9 @@ def closed_form_iso(g: Graph) -> HomCandidate | None:
     if reg.is_neither or reg.k == 0:  # no random-walk algebra on one vertex
         return None
     if reg.is_regular:
-        cand = HomCandidate.scaled_identity(g.n, Fraction(1, reg.k))
         # defining identity: k * (1/k)^2 == 1/k
         assert Fraction(reg.k) * Fraction(1, reg.k) ** 2 == Fraction(1, reg.k)
+        diag = dict.fromkeys(g.vertices(), Radical.from_rational(Fraction(1, reg.k)))
     else:
         k1, k2 = reg.k1, reg.k2
         alpha = Radical.root(Fraction(1, k1 * k1 * k2), 3)
@@ -317,15 +304,10 @@ def closed_form_iso(g: Graph) -> HomCandidate | None:
         assert beta * beta == alpha / k2, "beta^2 == alpha/k2 must hold"
         diag = {v: alpha for v in reg.part1}
         diag.update({v: beta for v in reg.part2})
-        cand = HomCandidate.from_rows(
-            [
-                [
-                    RadicalSum.from_radical(diag[i]) if i == k else RadicalSum()
-                    for k in range(1, g.n + 1)
-                ]
-                for i in range(1, g.n + 1)
-            ]
-        )
+    zero = Radical.from_rational(0)
+    cand = HomCandidate.from_radicals(
+        [[diag[i] if i == k else zero for k in g.vertices()] for i in g.vertices()]
+    )
     x = np.array([[float(v) for v in row] for row in cand.entries]).reshape(1, -1)
     backup = np.abs(_MatrixForm(g).residuals(x)).max()
     if backup >= 1e-12:

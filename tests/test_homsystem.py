@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evograph.deduce import prove_null_only
 from evograph.graphs import (
     bull_graph,
     cycle_graph,
     generate_family,
     path_graph,
+    star_graph,
     tadpole,
 )
 from evograph.homsystem import (
@@ -21,6 +23,8 @@ from evograph.homsystem import (
     residual,
 )
 from evograph.prooflog import dump_system
+from evograph.radicals import RadicalSum
+from evograph.search import SearchConfig, closed_form_iso, find_homomorphism
 
 from test_graphs import connected_graphs
 
@@ -105,6 +109,65 @@ class TestDirectOracle:
         assert is_isomorphism(cycle_graph(4), HomCandidate.scaled_identity(4, F(1, 2)))
         # degree-1 regular: both algebras coincide, identity is an isomorphism
         assert is_isomorphism(path_graph(2), HomCandidate.scaled_identity(2, F(1)))
+
+
+def with_entry(T, i, k, x):
+    """T with its (i, k) entry (1-indexed) replaced by x."""
+    rows = [list(row) for row in T.entries]
+    rows[i - 1][k - 1] = x
+    return HomCandidate.from_rows(rows)
+
+
+class TestMixedEntries:
+    """Fraction, int and RadicalSum entries meet in RadicalSum's own
+    arithmetic, so every route gives the same answer on any mix of them."""
+
+    @staticmethod
+    def verdicts(g, T):
+        return (
+            is_homomorphism_direct(g, T),
+            is_isomorphism(g, T),
+            residual(derive_constraints(g), T).is_exact_zero(),
+        )
+
+    def test_half_identity_with_one_radical_entry(self):
+        T = HomCandidate.scaled_identity(4, F(1, 2))
+        T = with_entry(T, 2, 2, RadicalSum.from_rational(F(1, 2)))
+        assert self.verdicts(cycle_graph(4), T) == (True, True, True)
+
+    def test_star_closed_form_with_fraction_zeros(self):
+        cf = closed_form_iso(star_graph(3))
+        T = HomCandidate.from_rows(
+            [[x if i == k else F(0) for k, x in enumerate(row)] for i, row in enumerate(cf.entries)]
+        )
+        assert self.verdicts(star_graph(3), T) == (True, True, True)
+
+    def test_bull_identity_with_one_radical_entry_rejected(self):
+        T = with_entry(HomCandidate.scaled_identity(5, F(1)), 3, 3, RadicalSum.from_rational(1))
+        assert not is_homomorphism_direct(bull_graph(), T)
+        assert not is_isomorphism(bull_graph(), T)
+        assert not residual(derive_constraints(bull_graph()), T).is_exact_zero()
+
+    def test_float_half_identity(self):
+        T = HomCandidate.from_rows([[0.5 if i == k else 0.0 for k in range(4)] for i in range(4)])
+        assert self.verdicts(cycle_graph(4), T) == (True, True, True)
+
+
+class TestExactCandidatesHoldRadicalSums:
+    @staticmethod
+    def all_radical(T):
+        return T is not None and all(isinstance(x, RadicalSum) for row in T.entries for x in row)
+
+    def test_closed_forms(self):
+        assert self.all_radical(closed_form_iso(cycle_graph(4)))
+        assert self.all_radical(closed_form_iso(star_graph(3)))
+
+    def test_search_reconstruction(self):
+        out = find_homomorphism(cycle_graph(4), SearchConfig(restarts=40, seed=3))
+        assert self.all_radical(out.exact)
+
+    def test_engine_witness(self):
+        assert self.all_radical(prove_null_only(path_graph(2)).witness)
 
 
 class TestOracleEquivalence:

@@ -16,7 +16,7 @@ from evograph.graphs import (
 )
 from evograph.homsystem import HomCandidate, derive_constraints, is_homomorphism_direct, residual
 from evograph import search
-from evograph.radicals import Radical
+from evograph.radicals import Radical, RadicalSum
 from evograph.search import (
     INIT_SCALE,
     MAX_ITERATIONS,
@@ -71,7 +71,8 @@ class TestConfig:
 class TestClosedForm:
     def test_cycle_gives_half_identity(self):
         cand = closed_form_iso(cycle_graph(4))
-        assert cand.entries == HomCandidate.scaled_identity(4, F(1, 2)).entries
+        half, zero = RadicalSum.from_rational(F(1, 2)), RadicalSum()
+        assert cand.entries == tuple(tuple(half if i == k else zero for k in range(4)) for i in range(4))
 
     def test_star_radical_values(self):
         # leaves side: (1*1*3)^(-1/3); centre side: (1*3*3)^(-1/3)
