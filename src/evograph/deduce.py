@@ -752,7 +752,9 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     Returns a verdict carrying the proof log.  "null-only" is issued only
     when an exhaustive case split closes every branch; anything else
     (budget, unresolved branches, or an explicit nonzero solution) comes
-    back as "unknown" or "found-structure".  The cyclic garbage collector
+    back as "unknown" or "found-structure".  A "null-only" log keeps only
+    its premise cone, the steps its branch closures rest on; the other
+    logs stay whole, open leaves included.  The cyclic garbage collector
     is paused while it runs: the log and the branch states hold no cycles,
     and the collector's passes over the growing log would cost more than
     they free.
@@ -774,6 +776,7 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
             UNKNOWN, shared.log, open_branches=1, reason="budget-exhausted", system=sys
         )
     if closed:
+        shared.log.steps = _premise_cone(shared.log.steps)
         shared.log.verdict = NULL_ONLY
         return Verdict(NULL_ONLY, shared.log, system=sys)
     if shared.witness is not None:
@@ -790,6 +793,23 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
         witness=shared.witness,
         system=sys,
     )
+
+
+def _premise_cone(steps: list[Step]) -> list[Step]:
+    """The steps a closed case tree rests on, in log order and with their ids.
+
+    These are the branch markers and every step reachable backwards from a
+    branch-close through premises.  A step's id is its index and premises
+    precede their step, so one backward pass finds them all.
+    """
+    keep = bytearray(len(steps))
+    for s in reversed(steps):
+        if keep[s.sid] or s.rule in ("branch-open", "branch-close"):
+            keep[s.sid] = 1
+            for kind, sid in s.premises:
+                if kind == "s":
+                    keep[sid] = 1
+    return [s for s in steps if keep[s.sid]]
 
 
 def _leaf_witness(leaf: DeductionState) -> HomCandidate | None:

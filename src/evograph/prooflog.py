@@ -19,9 +19,18 @@ uses (as a set: a ref may repeat).  A ``substitute`` step's row is fully
 determined by its premises and payload, so it need not be stated: its
 conclusion may be ``derived``, and the replayer then takes the row its
 check computes as the step's conclusion.  A stated row is compared with
-that row.  The replayer finally checks that the case-split tree is
-exhaustive (each split has both a "= 0" and a "!= 0" child) and that the
-claimed verdict follows.
+that row.  A stated cube root is checked by cubing it and testing its
+bases for primality: the replayer takes no roots and factors nothing.
+The replayer finally checks that the case-split tree is exhaustive (each
+split has both a "= 0" and a "!= 0" child) and that the claimed verdict
+follows.
+
+A null-only certificate holds exactly its premise cone: every
+``branch-open`` and ``branch-close`` step, and each step reachable
+backwards from them through premises.  The engine trims the log when it
+returns the verdict; kept steps keep their ids and order, so ids may skip.
+The replayer keys steps by id and needs nothing else.  Logs with other
+verdicts are kept whole, open leaves included.
 
 The JSON document is declared once.  ``CONCLUSIONS`` lists each
 conclusion kind's fields in order, and ``_fields`` gives one (write,
@@ -57,7 +66,7 @@ from fractions import Fraction
 
 from . import poly
 from .homsystem import HomSystem
-from .radicals import Radical, RadicalSum, fraction_str, parse_fraction
+from .radicals import _MR_EXACT, Radical, RadicalSum, _is_prime, fraction_str, parse_fraction
 
 Ref = tuple[str, int]  # ("c", constraint index) or ("s", step id)
 Literal = tuple[int, bool]  # (var, assumed_nonzero)
@@ -571,15 +580,16 @@ class _Replayer:
         (xb, yb, mu) = s2
         if xa != a or ya != xb or yb != xa:
             self.fail(step, "rows do not form a square cycle x^2=k*y, y^2=m*x")
-        if x == xa:
-            want = Radical.root(kappa * kappa * mu, 3)
-        elif x == ya:
-            want = Radical.root(kappa * mu * mu, 3)
-        else:
+        if x not in (xa, ya):
             self.fail(step, "conclusion variable is not in the cycle")
         self._check_evidence(step.payload.get("witness", xa), step.premises[2:], step)
-        if want != rad:
-            self.fail(step, f"solved value mismatch: {want} vs {rad}")
+        # x^3 = k^2*m (y^3 = k*m^2) has one real root; rad is that root in
+        # normal form when it cubes to it and its bases are proven primes
+        cube = kappa * kappa * mu if x == xa else kappa * mu * mu
+        if any(p >= _MR_EXACT or not _is_prime(p) for p, _ in rad.parts):
+            self.fail(step, f"{rad} has a base that is not a prime below {_MR_EXACT}")
+        if rad**3 != Radical.from_rational(cube):
+            self.fail(step, f"{rad} does not cube to the cycle's product")
 
     def _negative_square(self, step: Step):
         row = self.row_of(step.premises[0], step)

@@ -15,7 +15,8 @@ keyed by their radical part.  Sums and products stay exact, and the zero
 test is decidable: by linear independence of distinct radical parts over
 the rationals, a sum vanishes iff every grouped coefficient vanishes.
 A RadicalSum adds and multiplies with ``int`` and ``Fraction`` on either
-side and is true iff nonzero; ``==`` holds between two RadicalSums only.
+side, and with no other type, and is true iff nonzero; ``==`` holds
+between two RadicalSums only.
 """
 
 from __future__ import annotations
@@ -349,8 +350,9 @@ class Radical:
         it, nonzero when factors follow, then factors ``*p^(a/b)`` with
         bases strictly ascending from 2 and exponents in (0, 1).  Nothing
         is factored, and any other text raises ``ValueError``.  Bases are
-        not tested for primality: a step that states a value is checked
-        against the canonical value computed from its premises.
+        not tested for primality: the replayer compares a stated value with
+        one computed from its premises, or tests a stated cube root's bases
+        itself.
         """
         head, *factors = text.split("*")
         parts = []
@@ -408,6 +410,8 @@ class RadicalSum:
     def __add__(self, other) -> "RadicalSum":
         if isinstance(other, (int, Fraction)):
             other = RadicalSum.from_rational(other)
+        elif not isinstance(other, RadicalSum):
+            return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
@@ -424,6 +428,8 @@ class RadicalSum:
     def __mul__(self, other) -> "RadicalSum":
         if isinstance(other, (int, Fraction)):
             return RadicalSum({k: v * other for k, v in self.terms.items()})
+        if not isinstance(other, RadicalSum):
+            return NotImplemented
         out: dict[Parts, Fraction] = {}
         for ka, va in self.terms.items():
             ra = Radical(va, ka)

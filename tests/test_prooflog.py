@@ -3,7 +3,9 @@ import functools
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import evograph
+from evograph import deduce, poly
 from evograph.cli import (
     ISO_INSTANCES,
     NO_FALSE_CERT_INSTANCES,
@@ -27,6 +31,7 @@ from evograph.prooflog import (
     RULES,
     ProofLog,
     Step,
+    _square_link_shape,
     _table_key,
     dump_log,
     load_log,
@@ -34,6 +39,8 @@ from evograph.prooflog import (
 )
 from evograph.radicals import Radical, fraction_str
 
+# The child process imports the same evograph as this one, installed or not.
+SRC = os.path.dirname(os.path.dirname(evograph.__file__))
 # cmn:2,2's log as dump_log wrote it when every substitute row was stated
 STATED_LOG = Path(__file__).parent / "data" / "cmn_2_2.stated.json"
 
@@ -165,7 +172,9 @@ def test_rule_outside_engine_vocabulary_rejected():
     assert not res and "unknown rule" in res.failure.reason
 
 
-@pytest.mark.parametrize("desc", ["bull", "cmn:2,2"])
+# caterpillar:1,2,2's premise cone keeps all four rules checked below;
+# cmn:2,2's has no square-sum-zero step
+@pytest.mark.parametrize("desc", ["bull", "caterpillar:1,2,2"])
 def test_emptied_premises_rejected_without_raising(desc, corpus_proof):
     """Premises must be exactly the refs a check uses: none missing, none extra."""
     _, sys, verdict, _ = corpus_proof(desc)
@@ -274,8 +283,9 @@ def _forge_coefficient(payload: dict, field: str, text: str) -> None:
 
 @pytest.mark.parametrize("field", ["coeff", "parts", "scalar"])
 def test_forged_long_coefficient_rejected_quickly(field, corpus_log):
-    # the bull's log states no row; cmn:2,2's states its leaf-twin-cross rows
-    sys, text = corpus_log("cmn:2,2" if field == "coeff" else "bull")
+    # the bull's log states no row; caterpillar:1,2,2's states three
+    # leaf-twin-cross rows in its premise cone
+    sys, text = corpus_log("caterpillar:1,2,2" if field == "coeff" else "bull")
     payload = json.loads(text)
     _forge_coefficient(payload, field, "7" * 2_000_000 + "/" + "3" * 2_000_000)
     text = json.dumps(payload)
@@ -414,17 +424,18 @@ def test_coefficients_past_the_int_str_limit_round_trip():
 # sha256 of each corpus certificate's document, written with indent=1 as
 # dump_log wrote it before logs became compact: the engine's logs are pinned.
 # Each equals the stated-row document of earlier versions with every
-# substitute conclusion replaced by {"kind": "derived"}.
+# substitute conclusion replaced by {"kind": "derived"}, restricted to the
+# premise cone, the steps the certificate keeps.
 LOG_SHA256 = {
-    "cmn:2,2": "8ba0272fdb993df89d0de2c696d4a23d4aae50763616e6cddecb3681dd1430f7",
-    "cmn:2,3": "ad13096707003852f9f230ff2e1cc1bca45d692d893106545f63505a315364bc",
-    "cmn:3,2": "9bd2ab1724de020fd8105bba9a22f7d67f590437a75baeaf20e4cb722690ee35",
-    "cmn:3,3": "4def1eceb38f36d39766b27ca4f70ee72357c04a188e375ae19d3c8ea1098afb",
-    "caterpillar:1,2,2": "64895cf9fe5798badcbacdce25f31ce560919eeb998de957dc574add269e9522",
-    "caterpillar:1,2,2,2": "78918b7908695f0673669b2099790a001903a0b9d87239449b0cac19004f283e",
-    "tadpole:4,1": "2b484627128f27215eb8a436bb59ca2369d1a0d05f1f8f82c07ba2ba9c7697dd",
-    "tadpole:4,3": "181fa77ebeba67764cdc3a95f27266fa836d70f8e1b1238d81af962c8a1dda71",
-    "bull": "23b9067d67d874a562c1fb9098c0c4de61c035e67d033ccc089855b4a3a0b0bb",
+    "cmn:2,2": "6ef35fff8c60385a622a0d6daf0920582d4b06dbfcfb1db73198ff90e7149267",
+    "cmn:2,3": "e022234d7fc640138d0cff867af28876a0c847d64a4d369ab68b6569780ff305",
+    "cmn:3,2": "11db5d2e21655d1b3c916689982fd897e88ce10b96a42ade154f5b06c2dbbda5",
+    "cmn:3,3": "db0fc5a4a09b7748b0e74bd5662c0f80684e46158751485ff7ea423f96c918b9",
+    "caterpillar:1,2,2": "8a2db090bd3aee902f76a93e6f82629793f9fcdf461872406c9f2906f9db1677",
+    "caterpillar:1,2,2,2": "fc880f846184b9d187a9dc1e6e3e7ad9bee2b08f2c51c9437102e3a0e5a5d768",
+    "tadpole:4,1": "fc3b2aba4df0d6a99f64a38c82702b10bf2685e5c9dc4d334f75df779ef447f2",
+    "tadpole:4,3": "f975c9625225f0e69795ad8ad78341562e233380dae104c5186127ac16453904",
+    "bull": "8755e664d67835bdd78f679c319621a02e4e721685307c89506088f099748385",
 }
 
 
@@ -449,11 +460,11 @@ def test_corpus_proof_logs_byte_identical(desc, corpus_log):
 
 
 # sha256 of dump_log's text for logs the pins above do not reach: a deep
-# null-only tree (7 432 steps, depth 8) and a found-structure log with 10
-# open leaves.  The exact kernel's arithmetic and the engine's row store
-# must not change a single step of them.
+# null-only tree (1 772 of 7 432 derived steps kept, depth 8) and a
+# found-structure log with 10 open leaves, kept whole.  The exact kernel's
+# arithmetic and the engine's row store must not change a single step of them.
 DEEP_LOG_SHA256 = {
-    "path:9": "e6ba4a8b8f9dd63d5015703e8890c45611b90fb2572f995aa6dc62fd880e2fea",
+    "path:9": "3806c4ad3a6062797b37543903f47400df95a77d21888f2b0ea1b3e1be56c1e0",
     "cycle:5": "1182142cfa09fb45893a5fbae99fc60cce12cf8ecac4f08266fc036fe2689596",
 }
 
@@ -465,14 +476,14 @@ def test_deep_and_open_proof_logs_byte_identical(desc, corpus_log):
 
 
 # sha256 of dump_log's text for the logs that hold the multi-row scans'
-# rarer modes: mutex-elim/pair (twice in 1 547 steps),
-# quad-solve-nonzero/single (4 251 steps) and quad-solve-nonzero/pair
-# (20 steps in complete_bipartite:2,3).
+# rarer modes: mutex-elim/pair (once in 951 of 1 547 derived steps),
+# quad-solve-nonzero/single (1 435 of 4 251) and quad-solve-nonzero/pair
+# (20 steps in complete_bipartite:2,3, an unknown log kept whole).
 SCAN_LOG_SHA256 = {
     "6: 1-5 2-3 2-4 2-5 3-4 3-5 5-6":
-        "01a22d4f463adc95e1aa7f5244d80d99ace9a06b1b5d91ce5f462bf505193335",
+        "abcf9f0cbc1f372ef3e0b2f330e5530ce6fe57aadef60c0bb49915832d29db67",
     "6: 1-2 1-3 1-4 1-5 2-3 2-4 2-5 3-4 3-5 4-5 4-6 5-6":
-        "27f239d2cebc3264dc8955ef9a5e7f60924232853792cbd1ff85288718b892b4",
+        "1fdb463b6a5d0fe9a6b4d7aa13193941339dfe3347970b3eb7d6c012e1ebb317",
     "complete_bipartite:2,3": "10bee2eb556e240485e639edab0f7f9a0d6f615b67a4d2076b0bc24d0042d6ba",
 }
 
@@ -518,11 +529,23 @@ def test_changed_stated_row_coefficient_rejected_at_its_step(op, corpus_log):
     assert "does not reproduce the row" in res.failure.reason
 
 
+def _cone(document: dict) -> list[dict]:
+    """The document's steps in the premise cone of its branch markers."""
+    keep = set()
+    for step in reversed(document["steps"]):
+        if step["id"] in keep or step["rule"] in ("branch-open", "branch-close"):
+            keep.add(step["id"])
+            keep.update(sid for kind, sid in step["premises"] if kind == "s")
+    return [step for step in document["steps"] if step["id"] in keep]
+
+
 def test_log_is_the_stated_row_log_with_substitute_rows_derived(corpus_log):
     # ids, rules, branches, premises, payloads and every other conclusion
-    # are as earlier versions wrote them
+    # are as earlier versions wrote them, on the steps of the premise cone
     _, text = corpus_log("cmn:2,2")
     document = json.loads(STATED_LOG.read_text())
+    document["steps"] = _cone(document)
+    assert len(document["steps"]) == 82
     for step in document["steps"]:
         if step["rule"] == "substitute":
             step["conclusion"] = {"kind": "derived"}
@@ -605,3 +628,130 @@ def test_gc_state_restored_after_step_budget_runs_out(enabled, gc_state):
     verdict = prove_null_only(bull_graph(), Budget(max_steps=40))
     assert verdict.reason == "budget-exhausted"
     assert gc.isenabled() is enabled
+
+
+# -- the premise cone -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES + RARE_RULE_GRAPHS)
+def test_null_only_log_is_its_premise_cone(desc, monkeypatch):
+    g = _edge_list_graph(desc) if desc[0].isdigit() else generate_family(desc)
+    kept = prove_null_only(g).log.steps
+    monkeypatch.setattr(deduce, "_premise_cone", list)
+    whole = prove_null_only(g).log.steps
+    ids = {s.sid for s in kept}
+    assert len(kept) < len(whole) and kept[-1] == whole[-1]
+    assert [s for s in whole if s.sid in ids] == kept
+    assert {s.sid for s in whole if s.rule in ("branch-open", "branch-close")} <= ids
+    assert all(sid in ids for s in kept for kind, sid in s.premises if kind == "s")
+
+
+@pytest.mark.parametrize("desc", ["cmn:2,2", "bull"])
+def test_every_kept_step_is_needed(desc, corpus_proof):
+    # a branch-open may go: its sibling still names the split variable
+    _, sys_, verdict, _ = corpus_proof(desc)
+    steps = verdict.log.steps
+    for i, s in enumerate(steps):
+        if s.rule != "branch-open":
+            res = replay_proof(sys_, ProofLog(steps=steps[:i] + steps[i + 1:], verdict=NULL_ONLY))
+            assert not res and res.failure is not None, s.sid
+
+
+# -- cube roots are checked, never taken ------------------------------------------
+
+
+def _combination(rows: dict, target: dict) -> list | None:
+    """Parts [(ref, lam)] whose lincomb of rows is target, by elimination;
+    None when target is outside the rows' span."""
+    echelon = []  # (pivot monomial, row, its parts as {ref: lam})
+    for ref, p in rows.items():
+        p, parts = dict(p), {ref: Fraction(1)}
+        for m, q, qparts in echelon:
+            if m in p:
+                lam = -p[m] / q[m]
+                poly.add_scaled_to(p, q, lam)
+                for r, c in qparts.items():
+                    parts[r] = parts.get(r, 0) + lam * c
+        if p:
+            echelon.append((next(iter(p)), p, parts))
+    rest, out = dict(target), {}
+    for m, q, qparts in echelon:
+        if m in rest:
+            lam = rest[m] / q[m]
+            poly.add_scaled_to(rest, q, -lam)
+            for r, c in qparts.items():
+                out[r] = out.get(r, 0) + lam * c
+    return None if rest else [(r, c) for r, c in out.items() if c]
+
+
+def _forged_cube_root_log(sys_, log: ProofLog) -> ProofLog:
+    """log plus a lincomb step deriving x^2 - N*y, and a quad-solve-nonzero/pair
+    step on that row and a row y^2 = mu*x of the log.  N is the product of two
+    20-digit primes, so only factoring finds the cube root of N^2*mu; the pair
+    step cites no nonzero evidence."""
+    n_big = (10**19 + 51) * (10**20 + 39)
+    row_steps = [s for s in log.steps if s.conclusion[0] == "row"]
+    for s in row_steps:
+        link = _square_link_shape(s.conclusion[1])
+        if link is None or link[0] == link[1]:
+            continue
+        y, x, _ = link
+        rows = {("c", i): c.p for i, c in enumerate(sys_.constraints)}
+        rows.update(
+            (("s", r.sid), r.conclusion[1])
+            for r in row_steps
+            if r.branch == s.branch[: len(r.branch)]
+        )
+        parts = _combination(rows, {(x, x): Fraction(1), (y,): Fraction(-n_big)})
+        if parts is None:
+            continue
+        sid = log.steps[-1].sid + 1
+        lincomb = Step(sid, "substitute", s.branch, tuple(r for r, _ in parts), ("derived",),
+                       {"op": "lincomb", "parts": parts})
+        pair = Step(sid + 1, "quad-solve-nonzero", s.branch, (("s", sid), ("s", s.sid)),
+                    ("value", x, Radical.from_rational(1)), {"mode": "pair", "var": x, "witness": x})
+        return ProofLog(steps=log.steps + [lincomb, pair], verdict=log.verdict)
+    raise AssertionError("no square link to forge a cycle on")
+
+
+def test_forged_cube_root_rejected_quickly(tmp_path, corpus_proof):
+    # taking the root factors N, about sqrt(10**19) Pollard-Brent steps; the
+    # replay runs in a child process, so a stall fails the test at its timeout
+    _, sys_, verdict, _ = corpus_proof("tadpole:4,1")
+    path = tmp_path / "forged.json"
+    path.write_text(dump_log(_forged_cube_root_log(sys_, verdict.log), sys_))
+    child = (
+        "import json, sys, time\n"
+        "from evograph import derive_constraints, generate_family, replay_proof\n"
+        "from evograph.prooflog import load_log\n"
+        "sys_ = derive_constraints(generate_family('tadpole:4,1'))\n"
+        "log = load_log(open(sys.argv[1]).read(), sys_)\n"
+        "start = time.perf_counter()\n"
+        "res = replay_proof(sys_, log)\n"
+        "print(json.dumps([bool(res), res.failure and res.failure.index, time.perf_counter() - start]))\n"
+    )
+    src = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    ok, index, seconds = json.loads(proc.stdout)
+    assert not ok and index == verdict.log.steps[-1].sid + 2 and seconds < 1.0
+
+
+def test_cube_root_with_a_composite_base_rejected(corpus_log):
+    # 1/4*4^(1/3) cubes to 1/16 as the normal form 1/4*2^(2/3) does
+    sys_, text = corpus_log("star:4")
+    assert replay_proof(sys_, load_log(text, sys_))
+    document = json.loads(text)
+    step = next(
+        s for s in document["steps"]
+        if s["payload"].get("mode") == "pair" and s["conclusion"]["scalar"] == "1/4*2^(2/3)"
+    )
+    step["conclusion"]["scalar"] = "1/4*4^(1/3)"
+    res = replay_proof(sys_, load_log(json.dumps(document), sys_))
+    assert not res and res.failure.index == step["id"]
+    assert "not a prime" in res.failure.reason

@@ -104,6 +104,13 @@ class TestRadicalSum:
         with pytest.raises(ValueError):
             s.as_radical()
 
+    @pytest.mark.parametrize("other", [0.5, "1/2", None])
+    def test_other_operand_types_raise_type_error(self, other):
+        half = RadicalSum.from_rational(F(1, 2))
+        for op in (lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a * b, lambda a, b: b * a):
+            with pytest.raises(TypeError):
+                op(half, other)
+
     @settings(max_examples=100, deadline=None)
     @given(rationals, rationals)
     def test_float_agreement(self, a, b):
