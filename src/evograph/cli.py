@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -77,7 +78,16 @@ class AnalysisReport:
     numeric: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        doc = asdict(self)
+        if self.numeric:
+            doc["numeric"]["best_residual"] = _json_residual(self.numeric["best_residual"])
+        return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _json_residual(x: float) -> float | None:
+    """A best residual as strict JSON holds it: null when there is none
+    (every restart ended in the null map) or it was not computed (--fast)."""
+    return x if math.isfinite(x) else None
 
 
 def _no_algebra(reg) -> bool:
@@ -220,7 +230,7 @@ def cmd_derive(args) -> int:
 def _report_no_algebra(args, key: str) -> int:
     """Answer prove or search on a graph with no random-walk algebra; no log."""
     if args.json:
-        print(json.dumps({key: PREDICT_NO_ALGEBRA, "reason": "degree-0"}))
+        print(json.dumps({key: PREDICT_NO_ALGEBRA, "reason": "degree-0"}, allow_nan=False))
     else:
         print(f"{key}: {PREDICT_NO_ALGEBRA}")
         print("reason: degree-0")
@@ -244,7 +254,7 @@ def cmd_prove(args) -> int:
         with open(args.log_out, "w") as fh:
             fh.write(payload)
     if args.json:
-        print(payload if not args.log_out else json.dumps({"verdict": verdict.kind}))
+        print(payload if not args.log_out else json.dumps({"verdict": verdict.kind}, allow_nan=False))
     else:
         print(f"verdict: {verdict.kind}")
         if verdict.reason:
@@ -263,16 +273,17 @@ def cmd_search(args) -> int:
     out = find_homomorphism(g, SearchConfig(restarts=args.restarts, seed=args.seed))
     payload = {
         "outcome": out.kind,
-        "best_residual": out.best_residual,
+        "best_residual": _json_residual(out.best_residual),
         "restart": out.restart_index,
         "isomorphism": out.isomorphism,
+        "stats": asdict(out.stats),
     }
     if out.T is not None:
         payload["entries"] = [[float(x) for x in row] for row in out.T.entries]
     if out.exact is not None:
         payload["exact"] = [[str(x) for x in row] for row in out.exact.entries]
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"outcome: {out.kind} (best residual {out.best_residual:.3g})")
         if out.exact is not None:
@@ -442,7 +453,8 @@ def cmd_sweep(args) -> int:
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
     rows = [_sweep_row(inst, budget, cfg, not args.fast) for inst in instances]
     if args.json:
-        print(json.dumps(rows, indent=2))
+        rows = [{**row, "best_residual": _json_residual(row["best_residual"])} for row in rows]
+        print(json.dumps(rows, indent=2, allow_nan=False))
     else:
         cols = ["instance", "n", "singular", "regularity", "verdict", "numeric", "best_residual", "runtime"]
         writer = csv.writer(sys.stdout)

@@ -41,7 +41,7 @@ from . import poly
 from .graphs import Graph
 from .homsystem import HomCandidate, HomSystem, derive_constraints, is_homomorphism_direct
 from .prooflog import FOUND_STRUCTURE, NULL_ONLY, UNKNOWN, ProofLog, Ref, Step, _gc_paused
-from .radicals import Radical, RadicalSum
+from .radicals import FactoringEffortExceeded, Radical, RadicalSum
 
 _ONE = Fraction(1)
 
@@ -470,23 +470,30 @@ class DeductionState:
             if x != y:
                 shapes.setdefault((x, y), (ref, kappa))
         for x, y in sorted(shapes):
-            if (y, x) not in shapes:
+            if y < x or (y, x) not in shapes:  # each cycle once, from its lesser variable
                 continue
             witness = x if x in chains else (y if y in chains else None)
             if witness is None:
                 continue
             (r1, kappa), (r2, mu) = shapes[(x, y)], shapes[(y, x)]
             # from y's side the cycle reads y^2 = mu*x, x^2 = kappa*y
-            for v, k, m, prem in ((x, kappa, mu, [r1, r2]), (y, mu, kappa, [r2, r1])):
-                if v not in self.values:
-                    val = Radical.root(k * k * m, 3)
-                    vref = self.emit(
-                        "quad-solve-nonzero",
-                        prem + chains[witness],
-                        ("value", v, val),
-                        {"mode": "pair", "var": v, "witness": witness},
-                    )
-                    self.add_value(v, val, vref)
+            sides = ((x, kappa, mu, [r1, r2]), (y, mu, kappa, [r2, r1]))
+            try:  # both roots first, so the cycle fires whole or not at all
+                solved = [
+                    (v, Radical.root(k * k * m, 3), prem)
+                    for v, k, m, prem in sides
+                    if v not in self.values
+                ]
+            except FactoringEffortExceeded:
+                continue  # a value left unfired is sound
+            for v, val, prem in solved:
+                vref = self.emit(
+                    "quad-solve-nonzero",
+                    prem + chains[witness],
+                    ("value", v, val),
+                    {"mode": "pair", "var": v, "witness": witness},
+                )
+                self.add_value(v, val, vref)
 
     def _scan_radical_rows(self):
         """Rows whose variables are (almost) all pinned to radical values.

@@ -34,11 +34,25 @@ _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with _MR_BASES is exact below this bound (Sorenson & Webster 2015).
 _MR_EXACT = 3317044064679887385961981
+# Pollard-Brent gives up after this much work, counted in steps of its map
+# times the 32-bit words of the number it splits (a step costs more on a
+# longer number).  That splits the 25-digit _MR_EXACT, a product of two
+# 13-digit primes, and gives up within about a second on any number: half a
+# second on a 40-digit product of two 20-digit primes, which would need some
+# 10^10 steps.
+BRENT_WORK = 1 << 23
+
+
+class FactoringEffortExceeded(ArithmeticError):
+    """Pollard-Brent found no factor within ``BRENT_WORK``."""
 
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization, ascending: trial division by small primes, then
-    exact roots of perfect powers and Pollard-Brent on the cofactor."""
+    exact roots of perfect powers and Pollard-Brent on the cofactor.
+
+    Raises ``FactoringEffortExceeded`` when Pollard-Brent hits its bound.
+    """
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
     out: dict[int, int] = {}
@@ -150,10 +164,18 @@ def _strong_lucas(n: int) -> bool:
 
 
 def _brent(n: int) -> int:
-    """A proper factor of the composite n (Pollard's rho, Brent's cycle search)."""
+    """A proper factor of the composite n (Pollard's rho, Brent's cycle search).
+
+    Raises ``FactoringEffortExceeded`` rather than start a round that would
+    take its work past ``BRENT_WORK``.
+    """
+    words, work = n.bit_length() // 32 + 1, 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            work += 2 * r * words  # a round takes at most 2r steps
+            if work > BRENT_WORK:
+                raise FactoringEffortExceeded(f"no factor of a {n.bit_length()}-bit number")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -2,10 +2,10 @@
 
 Search minimises the sum of squared constraint residuals with a damped
 least-squares iteration (Levenberg-Marquardt style schedule) from many
-random restarts, discards the null basin, and tries to reconstruct any
-near-exact minimiser as rational or radical entries for exact
-verification.  A reported "none found" is evidence, not a proof; only
-the deduction engine certifies.
+random restarts, stops a restart as soon as it enters the null basin
+and discards it, and tries to reconstruct any near-exact minimiser as
+rational or radical entries for exact verification.  A reported "none
+found" is evidence, not a proof; only the deduction engine certifies.
 
 Residuals and the normal equations (J^T J and J^T r) come from the
 matrix form of the constraint system, ``T diag(A_r) T^T - diag((P T)[:, r])``
@@ -26,7 +26,7 @@ two sides of a biregular bipartition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +60,21 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Counts of one search: restarts, restarts stopped on entering the null
+    basin, LM row-iterations (one normal-equations build each) and rejected
+    steps (a failed or singular step on one row)."""
+
+    restarts: int = 0
+    null_exits: int = 0
+    iterations: int = 0
+    rejected: int = 0
+
+    def __add__(self, other: "SearchStats") -> "SearchStats":
+        return SearchStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
     kind: str  # NONE_FOUND | CANDIDATE | VERIFIED_HOM
     best_residual: float
@@ -67,6 +82,7 @@ class SearchOutcome:
     exact: HomCandidate | None = None
     isomorphism: bool = False
     restart_index: int = -1
+    stats: SearchStats = SearchStats()
 
 
 class _MatrixForm:
@@ -162,15 +178,19 @@ def gradient(sys: HomSystem, T) -> np.ndarray:
     return (2.0 * Jr[0]).reshape(sys.n, sys.n)
 
 
-def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _lm_minimize(
+    form: _MatrixForm, X0: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, SearchStats]:
     """Damped least squares from each row of ``X0``, all rows advanced together.
 
     Each row keeps its own schedule: damping is multiplied by 10 on a
     failed or singular step and divided by 10 on success; a row stops
-    at a residual below 1e-14, an accepted step below 1e-15, or damping
-    above 1e12.  Each row carries the products ``form.evaluate`` gave at
-    its point, so they are computed once per step, at the trial point.
-    Returns the final points and their residuals.
+    at a residual below 1e-14, an accepted step below 1e-15, damping
+    above 1e12, or, checked before each step, a point inside the null
+    basin (entry max-norm below ``TOL_NULL``), which the caller discards.
+    Each row carries the products ``form.evaluate`` gave at its point, so
+    they are computed once per step, at the trial point.  Returns the
+    final points, their residuals and the counts of the run.
     """
     X = X0.copy()
     N = X.shape[1]
@@ -180,12 +200,17 @@ def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> tuple[np.n
     cost = np.sum(r * r, axis=1)
     lam = np.full(len(X), 1e-3)
     stop = np.zeros(len(X), dtype=bool)
+    null_exits = iterations = rejected = 0
     for _ in range(max_iter):
-        keep = ~stop & (np.abs(r).max(axis=1) >= 1e-14)
-        live, r, cost, lam, R, S = live[keep], r[keep], cost[keep], lam[keep], R[keep], S[keep]
+        x = X[live]
+        active = ~stop & (np.abs(r).max(axis=1) >= 1e-14)
+        null = active & (np.abs(x).max(axis=1) < TOL_NULL)
+        keep = active & ~null
+        null_exits += int(np.count_nonzero(null))
+        live, x, r, cost, lam, R, S = live[keep], x[keep], r[keep], cost[keep], lam[keep], R[keep], S[keep]
         if not len(live):
             break
-        x = X[live]
+        iterations += len(live)
         H, g = form.normal_equations(x, R, S)
         H.reshape(len(live), N * N)[:, :: N + 1] += lam[:, None]
         solved = np.ones(len(live), dtype=bool)
@@ -201,12 +226,13 @@ def _lm_minimize(form: _MatrixForm, X0: np.ndarray, max_iter: int) -> tuple[np.n
         rn, Rn, Sn = form.evaluate(x + delta)
         costn = np.sum(rn * rn, axis=1)
         better = solved & (costn < cost)
+        rejected += int(np.count_nonzero(~better))
         X[live[better]] += delta[better]
         final[live[better]] = rn[better]
         r[better], cost[better], R[better], S[better] = rn[better], costn[better], Rn[better], Sn[better]
         lam = np.where(better, np.maximum(lam / 10.0, 1e-13), lam * 10.0)
         stop = np.where(better, np.abs(delta).max(axis=1) < 1e-15, solved & (lam > 1e12))
-    return X, final
+    return X, final, SearchStats(len(X), null_exits, iterations, rejected)
 
 
 _RADICAL_BASES = sorted(
@@ -241,8 +267,10 @@ def _reconstruct_matrix(x: np.ndarray, n: int) -> HomCandidate | None:
 def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
     """Multistart damped least-squares search with exact post-verification.
 
-    Converged points inside the null basin (entry max-norm below
-    ``TOL_NULL``) are discarded.  The best surviving point with residual
+    A restart stops as soon as its point enters the null basin (entry
+    max-norm below ``TOL_NULL``), and final points inside it are
+    discarded; see ``_lm_minimize`` for the other stop rules.  The best
+    surviving point with residual
     max-norm below ``TOL_RESIDUAL`` is reconstructed entrywise and, if
     that succeeds, verified exactly; outcomes rank
     verified-hom > candidate > none-found.  Residuals within
@@ -257,14 +285,16 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     )
     block = max(1, BLOCK_BYTES // (8 * n**4))
     found: list[tuple[float, int, np.ndarray]] = []  # residual, restart, point
+    stats = SearchStats()
     for first in range(0, cfg.restarts, block):
-        X, r = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
+        X, r, counts = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
+        stats += counts
         res = np.abs(r).max(axis=1)
         for b, x in enumerate(X):
             if np.max(np.abs(x)) >= TOL_NULL:
                 found.append((float(res[b]), first + b, x))
     if not found:
-        return SearchOutcome(NONE_FOUND, float("inf"))
+        return SearchOutcome(NONE_FOUND, float("inf"), stats=stats)
     least = min(f[0] for f in found)
     res, idx, x = next(
         f
@@ -278,9 +308,9 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
         exact = _reconstruct_matrix(x, n)
         if exact is not None and exact.max_abs() > 0 and is_homomorphism_direct(g, exact):
             iso = is_isomorphism(g, exact)
-            return SearchOutcome(VERIFIED_HOM, res, T_float, exact, iso, idx)
-        return SearchOutcome(CANDIDATE, res, T_float, None, False, idx)
-    return SearchOutcome(NONE_FOUND, res, T_float, None, False, idx)
+            return SearchOutcome(VERIFIED_HOM, res, T_float, exact, iso, idx, stats)
+        return SearchOutcome(CANDIDATE, res, T_float, None, False, idx, stats)
+    return SearchOutcome(NONE_FOUND, res, T_float, None, False, idx, stats)
 
 
 def closed_form_iso(g: Graph) -> HomCandidate | None:

@@ -38,6 +38,15 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def strict_json(text):
+    """Parse as strict JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSweepParsing:
     def test_single_variable_list(self):
         assert parse_sweep("tadpole:4,m for m in 1,3,5") == [
@@ -175,6 +184,22 @@ class TestCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["outcome"] == "verified-hom" and payload["isomorphism"]
+
+    def test_search_json_with_every_restart_null(self):
+        # every cycle:8 restart ends in the null map, so no residual survives
+        code, out, _ = run_cli("search", "cycle:8", "--json", "--restarts", "3")
+        payload = strict_json(out)
+        assert code == 0 and (payload["outcome"], payload["best_residual"]) == ("none-found", None)
+        assert payload["stats"]["restarts"] == payload["stats"]["null_exits"] == 3
+
+    def test_analyze_json_with_every_restart_null(self):
+        code, out, _ = run_cli("analyze", "cycle:8", "--json", "--restarts", "3", "--depth", "0")
+        numeric = strict_json(out)["numeric"]
+        assert code == 0 and (numeric["outcome"], numeric["best_residual"]) == ("none-found", None)
+
+    def test_sweep_json_fast_has_no_residual(self):
+        code, out, _ = run_cli("sweep", "tadpole:4,m for m in 1,3", "--fast", "--json")
+        assert code == 0 and [row["best_residual"] for row in strict_json(out)] == [None, None]
 
     @pytest.mark.parametrize("command, key", [("prove", "verdict"), ("search", "outcome")])
     def test_single_vertex_has_no_algebra(self, command, key):

@@ -1,11 +1,15 @@
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import evograph
 from evograph import poly
 from evograph.cli import NO_FALSE_CERT_INSTANCES, NULL_ONLY_INSTANCES
 from evograph.deduce import (
@@ -354,3 +358,41 @@ def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
         ("linear-solve", (("c", 1), ("c", 0))),
         ("linear-solve", (("c", 2), ("s", 0))),
     ]
+
+
+def test_square_cycle_past_the_factoring_bound_does_not_fire():
+    # x^2 = y, y^2 = mu*x with x nonzero: x = mu^(1/3) and y = mu^(2/3).  With
+    # mu = 2 the cycle fires; with mu = (10^19+51)(10^20+39), two 20-digit
+    # primes, factoring gives up and saturation ends without a value.
+    child = (
+        "import json, time\n"
+        "from fractions import Fraction\n"
+        "from evograph import poly\n"
+        "from evograph.deduce import Budget, DeductionState, _Shared, saturate\n"
+        "from evograph.graphs import bull_graph\n"
+        "from evograph.homsystem import derive_constraints\n"
+        "system, x, y, out = derive_constraints(bull_graph()), 0, 1, []\n"
+        "for mu in (2, (10**19 + 51) * (10**20 + 39)):\n"
+        "    state = DeductionState(_Shared(system, Budget()))\n"
+        "    state.nonzero[x] = ('c', 0)\n"
+        "    for ref, p in ((('c', 1), {(x, x): Fraction(1), (y,): Fraction(-1)}),\n"
+        "                   (('c', 2), {(y, y): Fraction(1), (x,): Fraction(-mu)})):\n"
+        "        state._add_row(ref, p, poly.leading_mono(p))\n"
+        "    start = time.perf_counter()\n"
+        "    saturate(state)\n"
+        "    steps = [(s.rule, s.payload.get('mode')) for s in state.shared.log.steps]\n"
+        "    out.append([steps, time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    here = os.path.dirname(os.path.dirname(evograph.__file__))
+    src = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    (small, _), (large, seconds) = json.loads(proc.stdout)
+    assert small == [["quad-solve-nonzero", "pair"]] * 2
+    assert large == [] and seconds < 1.0

@@ -25,6 +25,7 @@ from evograph.search import (
     TOL_RESIDUAL,
     VERIFIED_HOM,
     SearchConfig,
+    SearchStats,
     _lm_minimize,
     _MatrixForm,
     closed_form_iso,
@@ -162,7 +163,7 @@ class TestBatchedMinimizer:
                 return H, X.copy()
 
         X0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        X, r = _lm_minimize(Form(), X0, max_iter=1)
+        X, r, _ = _lm_minimize(Form(), X0, max_iter=1)
         assert np.array_equal(X[0], X0[0])
         np.testing.assert_allclose(X[1], X0[1] * (1e-3 / (1 + 1e-3)), rtol=1e-12)
         assert np.array_equal(r, X)
@@ -192,11 +193,11 @@ class TestCarriedProducts:
     def test_stacked_rows_match_rows_alone(self, desc):
         form = _Recording(generate_family(desc))
         X0 = np.random.default_rng(2).uniform(-INIT_SCALE, INIT_SCALE, size=(8, form.n**2))
-        X, r = _lm_minimize(form, X0, MAX_ITERATIONS)
+        X, r, _ = _lm_minimize(form, X0, MAX_ITERATIONS)
         if desc != "cycle:6":  # carried products on rejected rows too
             assert form.rejected > 0
         for b, x0 in enumerate(X0):
-            xb, rb = _lm_minimize(form, x0[None], MAX_ITERATIONS)
+            xb, rb, _ = _lm_minimize(form, x0[None], MAX_ITERATIONS)
             assert xb[0].tobytes() == X[b].tobytes() and rb[0].tobytes() == r[b].tobytes()
 
     @pytest.mark.parametrize("desc", ["cycle:6", "bull", "cmn:2,2", "path:1"])
@@ -204,8 +205,44 @@ class TestCarriedProducts:
         form = _MatrixForm(generate_family(desc))
         X0 = np.random.default_rng(4).uniform(-INIT_SCALE, INIT_SCALE, size=(6, form.n**2))
         for max_iter in (0, 3, MAX_ITERATIONS):
-            X, r = _lm_minimize(form, X0, max_iter)
+            X, r, _ = _lm_minimize(form, X0, max_iter)
             assert r.tobytes() == form.residuals(X).tobytes()
+
+
+class TestNullBasinExit:
+    """A restart stops as soon as its point is inside the null basin."""
+
+    @pytest.mark.parametrize("desc", ["cycle:8", "bull"])
+    def test_start_inside_the_basin_comes_back_unchanged(self, desc):
+        form = _MatrixForm(generate_family(desc))
+        X0 = np.random.default_rng(6).uniform(-TOL_NULL, TOL_NULL, size=(1, form.n**2)) / 2
+        X, r, stats = _lm_minimize(form, X0, MAX_ITERATIONS)
+        assert X.tobytes() == X0.tobytes() and r.tobytes() == form.residuals(X0).tobytes()
+        assert stats == SearchStats(restarts=1, null_exits=1, iterations=0, rejected=0)
+
+    def test_counts_do_not_depend_on_blocks(self, monkeypatch):
+        g, cfg = bull_graph(), SearchConfig(restarts=6, seed=0)
+        stacked = find_homomorphism(g, cfg).stats
+        monkeypatch.setattr(search, "BLOCK_BYTES", 1)  # one restart per block
+        assert find_homomorphism(g, cfg).stats == stacked
+        assert stacked.restarts == 6 and stacked.iterations > stacked.rejected > 0
+
+
+class TestOutcomePins:
+    """Kind, best residual bits and restart index at seed 0 with 200 restarts."""
+
+    PINS = {
+        "cycle:4": ("verified-hom", "0x1.bca18ae000000p-53", 4),
+        "star:3": ("candidate", "0x1.0000000000000p-48", 1),
+        "bull": ("none-found", "0x1.c1ac4ad05e040p-6", 5),
+        "cmn:2,2": ("none-found", "0x1.2dc54fb126a10p-5", 2),
+        "path:6": ("none-found", "0x1.f3a4f928e18b0p-6", 79),
+    }
+
+    @pytest.mark.parametrize("desc", sorted(PINS))
+    def test_outcome_is_pinned(self, desc):
+        out = find_homomorphism(generate_family(desc), SearchConfig(restarts=200, seed=0))
+        assert (out.kind, float(out.best_residual).hex(), out.restart_index) == self.PINS[desc]
 
 
 class TestReconstruction:
@@ -243,9 +280,10 @@ class TestSearch:
         )
 
     def test_null_basin_is_discarded(self):
-        # on cycle:8 every restart converges to the null map and is dropped
+        # on cycle:8 every restart enters the null basin, stops there and is dropped
         out = find_homomorphism(cycle_graph(8), SearchConfig(restarts=5, seed=0))
         assert out.kind == NONE_FOUND and out.best_residual == float("inf")
+        assert out.stats.restarts == out.stats.null_exits == 5
 
     def test_automorphism_conjugation_preserves_verification(self):
         g = cycle_graph(4)
@@ -264,7 +302,9 @@ class TestTieBreak:
     @staticmethod
     def search_over(monkeypatch, g, X):
         monkeypatch.setattr(
-            search, "_lm_minimize", lambda form, starts, max_iter: (X, form.residuals(X))
+            search,
+            "_lm_minimize",
+            lambda form, starts, max_iter: (X, form.residuals(X), SearchStats(restarts=len(X))),
         )
         return find_homomorphism(g, SearchConfig(restarts=len(X), seed=0))
 
