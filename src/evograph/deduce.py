@@ -18,10 +18,22 @@ mutex pairs, nonzero assumptions).  Saturation interleaves
 
 until a fixpoint.  Case splitting (x = 0 versus x != 0) closes a branch
 on an outright contradiction or when some column is entirely zero, in
-which case connectivity forces the null map.  A contradiction raises
-``Contradiction`` at the step that derives it and closes its branch at
-once: nothing after it is logged in that branch.  Every derivation is
+which case connectivity forces the null map.  Every derivation is
 logged; the replayer in prooflog.py re-validates logs independently.
+
+The engine derives nothing that no closure or verdict can read:
+
+  * a row each of whose monomials holds a variable the branch knows is
+    zero vanishes; it is dropped before any substitution is logged, and
+    a substitution that cancels a row outright is not logged either;
+  * a branch closes at the step that closes it, not at the fixpoint: a
+    contradiction, or the zero that completes a column (a
+    ``column-zero-propagate`` step at once).  Either raises
+    ``BranchClosed`` after logging the ``branch-close``, so nothing
+    after it is logged in that branch;
+  * the case split stops at the first open leaf whose witness passes
+    ``is_homomorphism_direct``: a "found-structure" verdict needs no
+    more of the tree.
 
 Soundness is the contract: a "null-only" verdict is issued only when
 every branch of an exhaustive split closes.  Budget exhaustion and
@@ -56,7 +68,7 @@ class Budget:
 class Verdict:
     kind: str  # NULL_ONLY | UNKNOWN | FOUND_STRUCTURE
     log: ProofLog
-    open_branches: int = 0
+    open_branches: int = 0  # open leaves met; a found-structure split ends at the witness leaf
     reason: str = ""
     witness: HomCandidate | None = None
     system: HomSystem | None = None  # the constraint system the log refers to
@@ -66,12 +78,8 @@ class BudgetExhausted(Exception):
     pass
 
 
-class Contradiction(Exception):
-    """The branch derived a contradiction; ``ref`` is the step that says so."""
-
-    def __init__(self, ref: Ref):
-        super().__init__(ref)
-        self.ref = ref
+class BranchClosed(Exception):
+    """The branch closed; its ``branch-close`` step is already logged."""
 
 
 class _Shared:
@@ -149,8 +157,13 @@ class DeductionState:
         return sh.log.append(step)
 
     def contradict(self, rule: str, premises, payload=None) -> NoReturn:
-        """Log a contradiction and end the branch by raising ``Contradiction``."""
-        raise Contradiction(self.emit(rule, premises, ("contradiction",), payload))
+        """Log a contradiction and close the branch on it."""
+        self.close(self.emit(rule, premises, ("contradiction",), payload), "contradiction")
+
+    def close(self, ref: Ref, how: str) -> NoReturn:
+        """Log the branch's close on step ref and end it by raising ``BranchClosed``."""
+        self.emit("branch-close", [ref], ("closed", how))
+        raise BranchClosed()
 
     # -- fact registration ------------------------------------------------------
 
@@ -163,6 +176,15 @@ class DeductionState:
         if v in self.values:
             self.contradict("value-conflict", [ref, self.values[v][1]], {"mode": "zero-nonzero"})
         self.dirty.add(v)
+        # an all-zero column forces the null map (the graph is connected)
+        sys = self.sys
+        k = sys.var_pair(v)[1]
+        column = [sys.var(i, k) for i in range(1, sys.n + 1)]
+        if all(u in self.zeros for u in column):
+            prem = [self.zeros[u] for u in column]
+            self.close(
+                self.emit("column-zero-propagate", prem, ("null-map",), {"column": k}), "null"
+            )
 
     def add_value(self, v: int, rad: Radical, ref: Ref):
         """Record v = rad; every caller first checks that v has no value yet."""
@@ -186,8 +208,12 @@ class DeductionState:
         Variables go in ascending order.  A constant replacement only
         removes variables, so one sorted pass over p's determined variables
         suffices; a variable cancelled by an earlier substitution is skipped.
+        A row that vanishes, each monomial holding a zero variable, comes
+        back empty with nothing logged.
         """
         zeros, values = self.zeros, self.values
+        if all(any(v in zeros for v in m) for m in p):
+            return ref, {}
         determined = [
             v for v in poly.poly_vars(p) if v in zeros or (v in values and values[v][0].is_rational)
         ]
@@ -205,6 +231,8 @@ class DeductionState:
     def _subst(self, ref: Ref, p: poly.Poly, v: int, dref: Ref, repl: poly.Poly):
         """Replace v by repl in p, justified by the fact or affine row dref."""
         np = poly.substitute_var(p, v, repl)
+        if not np:
+            return ref, np  # an empty row says nothing; the caller drops it
         nref = self.emit(
             "substitute",
             [ref, dref],
@@ -668,19 +696,11 @@ def apply_leaf_twin_cross_rules(state: DeductionState) -> list[Ref]:
 def saturate(state: DeductionState) -> DeductionState:
     """Run the rewriting and scanning loop to a fixpoint.
 
-    Raises ``Contradiction`` when the branch derives one.
+    Raises ``BranchClosed`` when the branch closes first.
     """
     while state.process_pending() or state.flush_dirty() or state.run_scans():
         pass
     return state
-
-
-def _zero_column(state: DeductionState) -> int | None:
-    sys = state.sys
-    for k in range(1, sys.n + 1):
-        if all(sys.var(i, k) in state.zeros for i in range(1, sys.n + 1)):
-            return k
-    return None
 
 
 def _pick_branch_var(state: DeductionState) -> int | None:
@@ -700,24 +720,10 @@ def _pick_branch_var(state: DeductionState) -> int | None:
     return min(v for v, c in counts.items() if c == best)
 
 
-def _try_close_null(state: DeductionState) -> bool:
-    k = _zero_column(state)
-    if k is None:
-        return False
-    sys = state.sys
-    prem = [state.zeros[sys.var(i, k)] for i in range(1, sys.n + 1)]
-    nref = state.emit("column-zero-propagate", prem, ("null-map",), {"column": k})
-    state.emit("branch-close", [nref], ("closed", "null"))
-    return True
-
-
 def _explore(state: DeductionState, depth: int) -> bool:
     try:
         saturate(state)
-    except Contradiction as exc:
-        state.emit("branch-close", [exc.ref], ("closed", "contradiction"))
-        return True
-    if _try_close_null(state):
+    except BranchClosed:
         return True
     v = _pick_branch_var(state)
     if v is None or depth >= state.shared.budget.max_depth:
@@ -725,30 +731,38 @@ def _explore(state: DeductionState, depth: int) -> bool:
         return False
     closed = True
     for nz in (False, True):
-        if not _explore(_open_branch(state, v, nz), depth + 1):
+        child = _open_branch(state, v, nz)
+        if child is not None and not _explore(child, depth + 1):
             closed = False
+            if state.shared.witness is not None:
+                break  # the first witness settles the verdict
     return closed
 
 
 def _leave_open(state: DeductionState, cut: bool):
-    """Count an open leaf, and keep its witness if it is the first one found."""
+    """Count an open leaf and keep its witness, if it has one; a witness ends the split."""
     sh = state.shared
     sh.open_leaves += 1
     sh.depth_cut |= cut
-    if sh.witness is None:
-        sh.witness = _leaf_witness(state)
+    sh.witness = _leaf_witness(state)
 
 
-def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState:
-    """The child of state that assumes v != 0 (nz) or v == 0."""
+def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState | None:
+    """The child of state that assumes v != 0 (nz) or v == 0.
+
+    None when v == 0 completes a zero column, which closes the child at once.
+    """
     child = state.clone()
     child.branch = state.branch + ((v, nz),)
     aref = child.emit("branch-open", [], ("assume", v, nz))
-    # cannot raise Contradiction: _pick_branch_var skips variables with a fact
+    # no value conflict: _pick_branch_var skips variables with a fact
     if nz:
         child.nonzero[v] = aref
-    else:
+        return child
+    try:
         child.add_zero(v, aref)
+    except BranchClosed:
+        return None
     return child
 
 
@@ -761,17 +775,27 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     (budget, unresolved branches, or an explicit nonzero solution) comes
     back as "unknown" or "found-structure".  A "null-only" log keeps only
     its premise cone, the steps its branch closures rest on; the other
-    logs stay whole, open leaves included.  The cyclic garbage collector
-    is paused while it runs: the log and the branch states hold no cycles,
-    and the collector's passes over the growing log would cost more than
-    they free.
+    logs stay whole, open leaves included.
+
+    Three early exits keep the engine from deriving what no verdict reads.
+    A vanishing row (each monomial holds a known zero) is dropped unlogged.
+    A branch closes as soon as a zero completes a column, with
+    ``column-zero-propagate`` and ``branch-close`` at once.  The split stops
+    at the first open leaf with a witness, so on "found-structure"
+    ``open_branches`` counts the open leaves up to and including the
+    witness leaf, not every open leaf of the tree.
+
+    The cyclic garbage collector is paused while it runs: the log and the
+    branch states hold no cycles, and the collector's passes over the
+    growing log would cost more than they free.
     """
     sys = derive_constraints(g)
     shared = _Shared(sys, budget)
     root = DeductionState(shared)
     try:
         # the leaf rules add only zeros, and the root has no nonzero fact to
-        # conflict with, so nothing here raises Contradiction
+        # conflict with; each zero is t_ik with just one of i, k a leaf, so
+        # no diagonal entry and hence no column is zeroed: nothing here closes
         apply_leaf_rules(root)
         apply_leaf_twin_cross_rules(root)
         for idx in range(len(sys.constraints)):

@@ -169,9 +169,9 @@ class TestCommands:
         assert replay_proof(sys_, log)
 
     def test_prove_reports_kept_and_derived_steps(self):
-        # a null-only log keeps its premise cone: 1 772 of path:9's 7 432 steps
+        # a null-only log keeps its premise cone: 1 760 of path:9's 4 796 steps
         code, out, _ = run_cli("prove", "path:9")
-        assert code == 0 and "proof log steps: 1772 (of 7432 derived)" in out
+        assert code == 0 and "proof log steps: 1760 (of 4796 derived)" in out
 
     def test_gen_round_trips(self, tmp_path):
         path = tmp_path / "t41.edges"

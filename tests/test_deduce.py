@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,11 +11,16 @@ from pathlib import Path
 import pytest
 
 import evograph
-from evograph import poly
-from evograph.cli import NO_FALSE_CERT_INSTANCES, NULL_ONLY_INSTANCES
+from evograph import deduce, poly
+from evograph.cli import (
+    ISO_INSTANCES,
+    NO_FALSE_CERT_INSTANCES,
+    NULL_ONLY_INSTANCES,
+    NUMERIC_NULL_INSTANCES,
+)
 from evograph.deduce import (
     Budget,
-    Contradiction,
+    BranchClosed,
     DeductionState,
     _open_branch,
     _pick_branch_var,
@@ -131,8 +137,12 @@ class TestSaturate:
             apply_leaf_twin_cross_rules(state)
             for i in range(len(sys.constraints)):
                 state.enqueue(("c", i), sys.constraints[i].p)
-            saturate(state)  # must reach a fixpoint within budget
-            assert not state.pending and not state.dirty
+            try:
+                saturate(state)  # must reach a fixpoint or close within budget
+            except BranchClosed:
+                assert state.shared.log.steps[-1].rule == "branch-close"
+            else:
+                assert not state.pending and not state.dirty
 
 
 class TestCertification:
@@ -160,7 +170,7 @@ class TestCertification:
             (s.sid, s.rule, s.conclusion) for s in b.log.steps
         ]
 
-    @pytest.mark.parametrize("desc", ["cycle:4", "star:3", "complete_bipartite:2,3"])
+    @pytest.mark.parametrize("desc", ["bull", "star:3", "complete_bipartite:2,3"])
     def test_contradiction_ends_its_branch(self, desc, corpus_proof):
         # the next step closes the branch on that contradiction, nothing between
         steps = corpus_proof(desc).verdict.log.steps
@@ -315,11 +325,13 @@ def _assert_indexes_match_rows(state):
     assert state.row_info == row_info
 
 
-def _saturate_or_close(state):
+def _saturate_or_close(state) -> bool:
+    """Saturate state; True if it closed, keeping whatever rows it had indexed."""
     try:
         saturate(state)
-    except Contradiction:
-        pass  # a closed branch keeps whatever rows it had; they must stay indexed
+    except BranchClosed:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("desc", _benchmark_certify_instances())
@@ -330,15 +342,16 @@ def test_occurrence_indexes_match_rows(desc):
     apply_leaf_twin_cross_rules(root)
     for i, con in enumerate(system.constraints):
         root.enqueue(("c", i), con.p)
-    _saturate_or_close(root)
+    closed = _saturate_or_close(root)
     _assert_indexes_match_rows(root)
-    v = _pick_branch_var(root)
+    v = None if closed else _pick_branch_var(root)
     if v is None:
         return
     for nz in (False, True):
         child = _open_branch(root, v, nz)
-        _saturate_or_close(child)
-        _assert_indexes_match_rows(child)
+        if child is not None:
+            _saturate_or_close(child)
+            _assert_indexes_match_rows(child)
     _assert_indexes_match_rows(root)  # the children worked on copies
 
 
@@ -396,3 +409,170 @@ def test_square_cycle_past_the_factoring_bound_does_not_fire():
     (small, _), (large, seconds) = json.loads(proc.stdout)
     assert small == [["quad-solve-nonzero", "pair"]] * 2
     assert large == [] and seconds < 1.0
+
+
+CORPUS = list(
+    dict.fromkeys(
+        NULL_ONLY_INSTANCES + ISO_INSTANCES + NO_FALSE_CERT_INSTANCES + NUMERIC_NULL_INSTANCES
+    )
+)
+CORPUS_AND_BENCHMARK = list(dict.fromkeys(CORPUS + _benchmark_certify_instances()))
+
+
+def _whole_log(desc, corpus_proof):
+    """(system, every step the engine derived): a null-only log untrimmed."""
+    _, system, verdict, _ = corpus_proof(desc)
+    if verdict.kind != NULL_ONLY:
+        return system, verdict.log.steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deduce, "_premise_cone", lambda steps: steps)
+        return system, prove_null_only(generate_family(desc)).log.steps
+
+
+@pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
+def test_no_step_concludes_an_empty_row(desc, corpus_proof):
+    _, steps = _whole_log(desc, corpus_proof)
+    assert not [s.sid for s in steps if s.conclusion == ("row", {})]
+
+
+@pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
+def test_a_zero_column_closes_its_branch_at_once(desc, corpus_proof):
+    """The zero that first makes a column all zero is followed by the close.
+
+    Next in the log comes either the branch's column-zero-propagate on that
+    column and then its branch-close, or a contradiction on that very zero;
+    every column-zero-propagate sits at such a place.
+    """
+    system, steps = _whole_log(desc, corpus_proof)
+    n = system.n
+    zeros: dict[tuple, set[int]] = {(): set()}  # each branch's zero variables
+    closes = set()
+    for idx, s in enumerate(steps):
+        if s.rule == "branch-open":
+            zeros[s.branch] = set(zeros[s.branch[:-1]])  # the parent's are final
+        c = s.conclusion
+        if c[0] == "zero" or (c[0] == "assume" and not c[2]):
+            zeros[s.branch].add(c[1])
+            k = system.var_pair(c[1])[1]
+            if all(system.var(i, k) in zeros[s.branch] for i in range(1, n + 1)):
+                nxt = steps[idx + 1]
+                assert nxt.branch == s.branch
+                if nxt.conclusion != ("contradiction",):
+                    assert (nxt.rule, nxt.payload) == ("column-zero-propagate", {"column": k})
+                    assert (steps[idx + 2].rule, steps[idx + 2].premises) == (
+                        "branch-close",
+                        (("s", nxt.sid),),
+                    )
+                    closes.add(nxt.sid)
+    assert closes == {s.sid for s in steps if s.rule == "column-zero-propagate"}
+
+
+def _tree_shape(verdict) -> tuple:
+    """The verdict's pin: its kind, then open_branches and the sha256 of its
+    ordered (branch, conclusion) branch-open list, or on found-structure the
+    sha256 of the witness entries."""
+    if verdict.kind == "found-structure":
+        entries = [[str(x) for x in row] for row in verdict.witness.entries]
+        return verdict.kind, hashlib.sha256(repr(entries).encode()).hexdigest()
+    opens = [(s.branch, s.conclusion) for s in verdict.log.steps if s.rule == "branch-open"]
+    return verdict.kind, verdict.open_branches, hashlib.sha256(repr(opens).encode()).hexdigest()
+
+
+# _tree_shape at the default budget.  The engine's early exits drop steps,
+# never branches, so these hold from before the exits; a found-structure
+# search now stops at its witness, so there the witness alone is pinned.
+TREE_SHAPES = {
+    "bull":
+        ("null-only", 0, "fca368b025ad1f5951b5fd45f3ef52975d9f15e2c5ef08c7a1bfbfb993c41980"),
+    "caterpillar:1,2,2":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "caterpillar:1,2,2,2":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "caterpillar:1,2,2,2,2,2":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:2,2":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:2,3":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:3,2":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:3,3":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:4,4":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:5,5":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "cmn:6,6":
+        ("null-only", 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "complete_bipartite:2,3":
+        ("unknown", 67, "08ad52a99e1090e3e115bdbd9d0b9395da95afd656fa750d9c0cf47cb229cc88"),
+    "complete_bipartite:3,3":
+        ("unknown", 256, "01430f73eeddb68e10ec5f6db809909d56311016ead6e32e470f9d4d52e0a56f"),
+    "cycle:12":
+        ("found-structure", "2d21e0722c65e8acfc6ce6b0e2a3c8a3b07a2346ea7f228f6b81834c7c318ebb"),
+    "cycle:3":
+        ("found-structure", "e04884ea8b13447d125a4db5697494166b4ba9a1af9711b96dfa4c319ffbe874"),
+    "cycle:4":
+        ("found-structure", "31b036189751adef265cf212bdd0287bf060f889b98fba13ef4a4090a771e5fc"),
+    "cycle:5":
+        ("found-structure", "0e7d8554d81a745055a0bf9f3a75c18042ba0065e5f231d453637a120732e136"),
+    "cycle:6":
+        ("found-structure", "303d50b0b662a4bd515a92451dacc4d91671848d7984b6c0a58447401d6f6fde"),
+    "cycle:7":
+        ("found-structure", "2e6f47729c9175883007eedc4e636e40a8a82dfbdfc06fe96adc852be64acbdc"),
+    "path:11":
+        ("unknown", 2, "03858f93b3da5252206181a66eded73be8e33311d297047c6bfc3ab6572a2b0a"),
+    "path:13":
+        ("unknown", 2, "eabc50b8d9496a311127ee69e8c07dce786b0cf5ac19550e436e6c6fa0209687"),
+    "path:2":
+        ("found-structure", "88fa2a0f0f106ac570a3fe4a2d13947134ad021e09a9c5f1796948d9b687c488"),
+    "path:5":
+        ("null-only", 0, "5d3b3287d3f5c9a1830be313be5c90d775c29aed531180eb7b8002f7c8531e12"),
+    "path:7":
+        ("null-only", 0, "5254be05928a8fe5542f5b9ca9c063040d15fb275f725d2a5f912713de15ff09"),
+    "path:9":
+        ("null-only", 0, "e3cc7e966caec2f8181c52a1294b8272c3be9efabe8f168230f6a19ef3453b7b"),
+    "star:3":
+        ("unknown", 29, "2590921865b573be57294376965d75f6b4e4acdbee1709ada69bc5e74b67d693"),
+    "star:4":
+        ("unknown", 117, "45057d20d22a3a444a06084a2867ecf2f7bb00ea4098cdcd8e13f764bd4981ec"),
+    "star:5":
+        ("unknown", 128, "b8660b56cfba40b662f0e1d607d2ebb38bba3d0c7a19a000a9692868a4f08e48"),
+    "tadpole:4,1":
+        ("null-only", 0, "fe5b5cef3e304a0cc4f459cfb78cd6ec6025bd72ead0bff5e54445c2d3b3b41b"),
+    "tadpole:4,11":
+        ("unknown", 1, "135ef0cd3a2cd8ee5d18757683020431d0d96aa87cbc33c082ba3ecbd738b3c0"),
+    "tadpole:4,3":
+        ("null-only", 0, "ef5d95bd2bc348ffa29a72c4dbde842adf4291ba557c226992d796884c66eb3f"),
+    "tadpole:4,5":
+        ("null-only", 0, "84ae835e809f644259159dbfa59eb3b5d5d2fdec4c02552cf954eaccdb2374cf"),
+    "tadpole:4,7":
+        ("unknown", 1, "78904deb0dcc94274b488ecae019572946b53a5debc2d4c2f930c5995211b7e4"),
+    "tadpole:4,9":
+        ("unknown", 1, "e17d1c2d80c68a46277b4ac06a75f1aec340983b7c006c2f3b0e34535a915271"),
+    "tadpole:6,1":
+        ("unknown", 2, "cae7e351fef2e68426a6843d58ada7d7f1a93fe22c71af672e46be5aefbc2cd6"),
+}
+
+
+@pytest.mark.parametrize("desc", sorted(TREE_SHAPES))
+def test_case_tree_shape_is_pinned(desc, corpus_proof):
+    assert _tree_shape(corpus_proof(desc).verdict) == TREE_SHAPES[desc]
+
+
+@pytest.mark.parametrize("desc", ["path:2", "cycle:4", "cycle:5"])
+def test_split_stops_at_the_witness_leaf(desc, corpus_proof):
+    g, system, verdict, _ = corpus_proof(desc)
+    steps = verdict.log.steps
+    opened = [s.branch for s in steps if s.rule == "branch-open"]
+    closed = {s.branch for s in steps if s.rule == "branch-close"}
+    split = {b[:-1] for b in opened}
+    leaves = [b for b in [()] + opened if b not in closed and b not in split]
+    assert len(leaves) == verdict.open_branches
+    w = verdict.witness.entries
+
+    def agrees(branch):
+        return all(bool(w[i - 1][k - 1]) == nz for v, nz in branch for i, k in [system.var_pair(v)])
+
+    (leaf,) = [b for b in leaves if agrees(b)]
+    assert opened[-1] == leaf  # no branch is opened after the witness leaf
