@@ -11,7 +11,7 @@ Commands:
 
 Exit codes: 0 ok; 1 internal soundness tripwire (analyze, sweep) or a
 failed paper check; 2 input error; 3 budget exhausted where a
-certification was required.
+certification was required; 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -544,7 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:  # `| head`: not an input error, and no message
+        # stdout goes to devnull, so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (GraphParseError, GraphError, InvalidRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -158,7 +158,7 @@ def test_criterion_6_numeric_corroboration():
     for desc in NUMERIC_NULL_INSTANCES:
         out = find_homomorphism(generate_family(desc), cfg)
         # none-found means no surviving point had residual below 1e-10
-        # while sitting outside the null basin (entry max-norm above 1e-6)
+        # while sitting outside the null basin (entry max-norm of TOL_NULL or more)
         assert out.kind == NONE_FOUND
         assert out.best_residual > TOL_RESIDUAL
     out = find_homomorphism(cycle_graph(4), cfg)

@@ -27,13 +27,15 @@ from evograph.prooflog import NULL_ONLY, ProofLog
 SRC = os.path.dirname(os.path.dirname(evograph.__file__))
 
 
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
 def run_cli(*args):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "evograph", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "evograph", *args], capture_output=True, text=True, env=CHILD_ENV
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -121,6 +123,18 @@ class TestCommands:
     def test_analyze_rejects_unreadable_path(self, tmp_path):
         code, _, err = run_cli("analyze", str(tmp_path))
         assert code == 2 and "error" in err and "Traceback" not in err
+
+    def test_closed_stdout_is_not_an_input_error(self):
+        # as in `evograph derive cmn:6,6 | head -n 1`, the reader goes away
+        with subprocess.Popen(
+            [sys.executable, "-m", "evograph", "derive", "cmn:6,6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 141 and err == b""
 
     def test_analyze_single_vertex(self):
         code, out, _ = run_cli("analyze", "path:1", "--fast")

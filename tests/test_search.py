@@ -220,6 +220,19 @@ class TestNullBasinExit:
         assert X.tobytes() == X0.tobytes() and r.tobytes() == form.residuals(X0).tobytes()
         assert stats == SearchStats(restarts=1, null_exits=1, iterations=0, rejected=0)
 
+    def test_cycle8_restarts_stop_at_the_basin_edge(self):
+        # every restart ends in the null map; the steps inside the basin,
+        # where they only halve the distance to it, are not taken
+        stats = find_homomorphism(cycle_graph(8), SearchConfig(restarts=5, seed=0)).stats
+        assert stats == SearchStats(restarts=5, null_exits=5, iterations=55, rejected=0)
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(40), star_graph(39), complete_bipartite(2, 38), complete_bipartite(20, 20)]
+    )
+    def test_basin_is_far_below_a_real_homomorphism(self, g):
+        assert g.n == 40
+        assert closed_form_iso(g).max_abs() >= 20 * TOL_NULL
+
     def test_counts_do_not_depend_on_blocks(self, monkeypatch):
         g, cfg = bull_graph(), SearchConfig(restarts=6, seed=0)
         stacked = find_homomorphism(g, cfg).stats
@@ -232,10 +245,19 @@ class TestOutcomePins:
     """Kind, best residual bits and restart index at seed 0 with 200 restarts."""
 
     PINS = {
+        "cycle:3": ("verified-hom", "0x1.4000000000000p-53", 1),
         "cycle:4": ("verified-hom", "0x1.bca18ae000000p-53", 4),
+        "cycle:5": ("verified-hom", "0x1.a2c1dac45d000p-58", 4),
+        "cycle:6": ("verified-hom", "0x1.c000000000000p-48", 134),
+        "cycle:8": ("none-found", "inf", -1),
+        "cycle:10": ("none-found", "inf", -1),
         "star:3": ("candidate", "0x1.0000000000000p-48", 1),
+        "star:4": ("candidate", "0x1.0000000000000p-54", 9),
+        "complete_bipartite:2,3": ("candidate", "0x1.1000000000000p-49", 5),
+        "complete_bipartite:3,4": ("candidate", "0x1.0000000000000p-55", 0),
         "bull": ("none-found", "0x1.c1ac4ad05e040p-6", 5),
         "cmn:2,2": ("none-found", "0x1.2dc54fb126a10p-5", 2),
+        "tadpole:4,1": ("none-found", "0x1.8e6da8076f910p-6", 14),
         "path:6": ("none-found", "0x1.f3a4f928e18b0p-6", 79),
     }
 
