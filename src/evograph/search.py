@@ -12,10 +12,11 @@ On a singular graph the null map is a singular root of the residual (at
 T = 0 the Jacobian is dT -> (0, -P dT), rank-deficient with P = D^-1 A),
 so damped Newton steps approach it only linearly, halving what is left at
 each step; a tighter radius would only pay for that crawl.  The radius is
-far below any real homomorphism: every closed-form isomorphism on n <= 40
-vertices has an entry of at least 1/(n-1) >= 1/39, and on 13 200 restarts
-over 22 graphs with at most 10 vertices, every restart that ended away from
-the null map kept max-norm 0.2 or more along its whole path.
+far below any real homomorphism: every nonzero entry of a closed-form
+isomorphism on n <= 40 vertices is at least 1/(n-1) >= 1/39, and on
+13 200 restarts over 22 graphs with at most 10 vertices, every restart
+that ended away from the null map kept max-norm 0.2 or more along its
+whole path.
 
 Residuals and the normal equations (J^T J and J^T r) come from the
 matrix form of the constraint system, ``T diag(A_r) T^T - diag((P T)[:, r])``
