@@ -12,19 +12,26 @@ Commands:
 Exit codes: 0 ok; 1 internal soundness tripwire (analyze, sweep) or a
 failed paper check; 2 input error; 3 budget exhausted where a
 certification was required; 141 stdout closed by its reader.
+
+Only the commands that run the numeric search or the closed forms
+(analyze, search, paper, sweep) import ``evograph.search``, and numpy with
+it; derive, prove and gen stay on exact arithmetic and never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import build_rw_algebra
 from .deduce import Budget, prove_null_only
@@ -42,13 +49,9 @@ from .graphs import (
 )
 from .homsystem import derive_constraints, is_isomorphism
 from .prooflog import NULL_ONLY, dump_log, dump_system, replay_proof
-from .search import (
-    NONE_FOUND,
-    VERIFIED_HOM,
-    SearchConfig,
-    closed_form_iso,
-    find_homomorphism,
-)
+
+if TYPE_CHECKING:
+    from .search import SearchConfig
 
 PREDICT_ISO = "isomorphic"
 PREDICT_NULL = "null-only"
@@ -118,9 +121,13 @@ def analyze_graph(
     instance: str,
     run_numeric: bool = True,
     budget: Budget = Budget(),
-    cfg: SearchConfig = SearchConfig(),
+    cfg: SearchConfig | None = None,
     log_out: str | None = None,
 ) -> AnalysisReport:
+    """Classify, certify and, unless ``run_numeric`` is false, search;
+    ``cfg`` defaults to ``SearchConfig()``."""
+    from .search import SearchConfig, closed_form_iso, find_homomorphism
+
     sing = is_singular(g)
     reg = classify_regularity(g)
     twins = twin_partition(g)
@@ -159,7 +166,7 @@ def analyze_graph(
             fh.write(dump_log(verdict.log, verdict.system))
         report.proof_log_path = log_out
     if run_numeric:
-        out = find_homomorphism(g, cfg)
+        out = find_homomorphism(g, SearchConfig() if cfg is None else cfg)
         report.numeric = {
             "outcome": out.kind,
             "best_residual": out.best_residual,
@@ -205,6 +212,8 @@ def _print_report(report: AnalysisReport):
 
 
 def cmd_analyze(args) -> int:
+    from .search import SearchConfig
+
     g = load_graph(args.graph)
     report = analyze_graph(
         g,
@@ -267,6 +276,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import SearchConfig, find_homomorphism
+
     g = load_graph(args.graph)
     if _no_algebra(classify_regularity(g)):
         return _report_no_algebra(args, "outcome")
@@ -326,6 +337,8 @@ NUMERIC_NULL_INSTANCES = ["bull", "cmn:2,2", "tadpole:4,1"]
 
 def cmd_paper(args) -> int:
     """Reproduce the worked examples; one pass/fail line per instance."""
+    from .search import NONE_FOUND, VERIFIED_HOM, SearchConfig, closed_form_iso, find_homomorphism
+
     ok = True
 
     def check(name: str, passed: bool, detail: str = ""):
@@ -390,10 +403,14 @@ class InvalidRange(ValueError):
     pass
 
 
-def parse_sweep(spec: str) -> list[str]:
-    """Expand e.g. ``tadpole:4,m for m in 1,3,5`` or ``cmn:a,b for a,b in 2..4``."""
+def parse_sweep(spec: str) -> Iterator[str]:
+    """Expand e.g. ``tadpole:4,m for m in 1,3,5`` or ``cmn:a,b for a,b in 2..4``.
+
+    The spec is checked at once; the instances are made one at a time as
+    they are read, the first variable varying slowest.
+    """
     if " for " not in spec:
-        return [spec.strip()] if spec.strip() else []
+        return iter([spec.strip()] if spec.strip() else [])
     template, _, rangepart = spec.partition(" for ")
     template = template.strip()
     m = rangepart.strip().partition(" in ")
@@ -407,7 +424,7 @@ def parse_sweep(spec: str) -> list[str]:
     if ".." in values:
         lo, _, hi = values.partition("..")
         try:
-            seq = list(range(int(lo), int(hi) + 1))
+            seq = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise InvalidRange(f"bad range {values!r}") from exc
     else:
@@ -415,18 +432,15 @@ def parse_sweep(spec: str) -> list[str]:
             seq = [int(tok) for tok in values.split(",") if tok.strip()]
         except ValueError as exc:
             raise InvalidRange(f"bad value list {values!r}") from exc
-    if not seq:
-        return []
-    out = []
-    combos = [[]]
-    for _ in varnames:
-        combos = [c + [v] for c in combos for v in seq]
     name, _, argstr = template.partition(":")
-    for combo in combos:
+    toks = [tok.strip() for tok in argstr.split(",")] if argstr else []
+
+    def instance(combo) -> str:
         env = dict(zip(varnames, combo))
-        args = [str(env.get(tok.strip(), tok.strip())) for tok in argstr.split(",")] if argstr else []
-        out.append(name + (":" + ",".join(args) if args else ""))
-    return out
+        args = [str(env.get(tok, tok)) for tok in toks]
+        return name + (":" + ",".join(args) if args else "")
+
+    return map(instance, itertools.product(seq, repeat=len(varnames)))
 
 
 def _sweep_row(inst: str, budget: Budget, cfg: SearchConfig, run_numeric: bool) -> dict:
@@ -448,10 +462,14 @@ def _sweep_row(inst: str, budget: Budget, cfg: SearchConfig, run_numeric: bool) 
 
 
 def cmd_sweep(args) -> int:
+    """One row per instance; a CSV row is written as soon as its instance
+    finishes, the --json array once every instance has."""
+    from .search import SearchConfig
+
     instances = parse_sweep(args.range)
     budget = Budget(max_depth=args.depth)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
-    rows = [_sweep_row(inst, budget, cfg, not args.fast) for inst in instances]
+    rows = (_sweep_row(inst, budget, cfg, not args.fast) for inst in instances)
     if args.json:
         rows = [{**row, "best_residual": _json_residual(row["best_residual"])} for row in rows]
         print(json.dumps(rows, indent=2, allow_nan=False))
@@ -459,8 +477,10 @@ def cmd_sweep(args) -> int:
         cols = ["instance", "n", "singular", "regularity", "verdict", "numeric", "best_residual", "runtime"]
         writer = csv.writer(sys.stdout)
         writer.writerow(cols)
+        sys.stdout.flush()
         for row in rows:
             writer.writerow([row[c] for c in cols])
+            sys.stdout.flush()
     return 0
 
 

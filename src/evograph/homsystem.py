@@ -97,24 +97,35 @@ def derive_constraints(g: Graph) -> HomSystem:
     Ordering is r-major: for each r first the product constraints over
     pairs (i, j) with i < j, then all square constraints follow, again
     r-major.  Total count is n * n(n-1)/2 + n**2.
+
+    Each row is built as the dict ``poly_from_terms`` would return: its
+    monomials are already sorted (var(i, k) < var(j, k) for i < j) and
+    distinct, and no coefficient is zero.  Coefficients are shared, which
+    is safe, since ``Fraction`` is immutable.
     """
     n = g.n
-    var = lambda i, k: (i - 1) * n + (k - 1)
+    one = Fraction(1)
+    # 0-indexed columns of each vertex's neighbours, and -1/deg(i) per vertex
+    cols = [[k - 1 for k in sorted(g.neighbors(v))] for v in g.vertices()]
+    neg_inv_deg = [Fraction(-1, len(c)) if c else None for c in cols]
     out: list[Constraint] = []
     for r in g.vertices():
-        nbrs = sorted(g.neighbors(r))
-        for i in g.vertices():
-            for j in range(i + 1, n + 1):
-                terms = [(Fraction(1), (var(i, k), var(j, k))) for k in nbrs]
-                out.append(Constraint(f"prodzero:{r}:{i}:{j}", poly.poly_from_terms(terms)))
+        ks = cols[r - 1]
+        for i in range(n):
+            bi = i * n
+            for j in range(i + 1, n):
+                bj = j * n
+                out.append(Constraint(f"prodzero:{r}:{i + 1}:{j + 1}", {(bi + k, bj + k): one for k in ks}))
     for r in g.vertices():
-        nbrs = sorted(g.neighbors(r))
-        for i in g.vertices():
-            terms = [(Fraction(1), (var(i, k), var(i, k))) for k in nbrs]
-            if g.degree(i):  # empty neighbourhood only for the 1-vertex graph
-                d = Fraction(1, g.degree(i))
-                terms += [(-d, (var(l, r),)) for l in sorted(g.neighbors(i))]
-            out.append(Constraint(f"square:{i}:{r}", poly.poly_from_terms(terms)))
+        ks = cols[r - 1]
+        for i in range(n):
+            bi = i * n
+            p = {(bi + k, bi + k): one for k in ks}
+            d = neg_inv_deg[i]
+            if d is not None:  # empty neighbourhood only for the 1-vertex graph
+                for l in cols[i]:
+                    p[(l * n + r - 1,)] = d
+            out.append(Constraint(f"square:{i + 1}:{r}", p))
     return HomSystem(g, n, tuple(out))
 
 

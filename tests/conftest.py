@@ -2,13 +2,15 @@
 
 import functools
 import time
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
 
+from evograph import poly
 from evograph.deduce import Verdict, prove_null_only
 from evograph.graphs import Graph, generate_family
-from evograph.homsystem import HomSystem, derive_constraints
+from evograph.homsystem import Constraint, HomSystem, derive_constraints
 
 
 def _det_cofactor(rows: list[list[int]]) -> int:
@@ -47,6 +49,38 @@ def _det_cofactor(rows: list[list[int]]) -> int:
 def det_cofactor():
     """The cofactor-expansion determinant, as an oracle for ``is_singular``."""
     return _det_cofactor
+
+
+def _derive_constraints_terms(g: Graph) -> HomSystem:
+    """The constraint system built term by term through ``poly_from_terms``.
+
+    The straightforward builder; a cross-check oracle for
+    ``derive_constraints``, which builds each row dict directly.
+    """
+    n = g.n
+    var = lambda i, k: (i - 1) * n + (k - 1)
+    out: list[Constraint] = []
+    for r in g.vertices():
+        nbrs = sorted(g.neighbors(r))
+        for i in g.vertices():
+            for j in range(i + 1, n + 1):
+                terms = [(Fraction(1), (var(i, k), var(j, k))) for k in nbrs]
+                out.append(Constraint(f"prodzero:{r}:{i}:{j}", poly.poly_from_terms(terms)))
+    for r in g.vertices():
+        nbrs = sorted(g.neighbors(r))
+        for i in g.vertices():
+            terms = [(Fraction(1), (var(i, k), var(i, k))) for k in nbrs]
+            if g.degree(i):  # empty neighbourhood only for the 1-vertex graph
+                d = Fraction(1, g.degree(i))
+                terms += [(-d, (var(l, r),)) for l in sorted(g.neighbors(i))]
+            out.append(Constraint(f"square:{i}:{r}", poly.poly_from_terms(terms)))
+    return HomSystem(g, n, tuple(out))
+
+
+@pytest.fixture(scope="session")
+def derive_constraints_terms():
+    """The term-by-term builder, as an oracle for ``derive_constraints``."""
+    return _derive_constraints_terms
 
 
 class CorpusProof(NamedTuple):

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections.abc import Iterator
 
 import pytest
 
@@ -51,14 +53,14 @@ def strict_json(text):
 
 class TestSweepParsing:
     def test_single_variable_list(self):
-        assert parse_sweep("tadpole:4,m for m in 1,3,5") == [
+        assert list(parse_sweep("tadpole:4,m for m in 1,3,5")) == [
             "tadpole:4,1",
             "tadpole:4,3",
             "tadpole:4,5",
         ]
 
     def test_two_variables_cartesian(self):
-        assert parse_sweep("cmn:m,n for m,n in 2..3") == [
+        assert list(parse_sweep("cmn:m,n for m,n in 2..3")) == [
             "cmn:2,2",
             "cmn:2,3",
             "cmn:3,2",
@@ -66,13 +68,18 @@ class TestSweepParsing:
         ]
 
     def test_template_with_constant_slot(self):
-        assert parse_sweep("caterpillar:1,a,b for a,b in 2..2") == ["caterpillar:1,2,2"]
+        assert list(parse_sweep("caterpillar:1,a,b for a,b in 2..2")) == ["caterpillar:1,2,2"]
 
     def test_plain_instance_passes_through(self):
-        assert parse_sweep("bull") == ["bull"]
+        assert list(parse_sweep("bull")) == ["bull"]
 
     def test_empty_range(self):
-        assert parse_sweep("") == []
+        assert list(parse_sweep("")) == []
+
+    def test_range_expands_lazily(self):
+        instances = parse_sweep("cmn:a,b for a,b in 1..100")
+        assert isinstance(instances, Iterator)
+        assert [next(instances), next(instances)] == ["cmn:1,1", "cmn:1,2"]
 
     def test_bad_range_rejected(self):
         with pytest.raises(InvalidRange):
@@ -135,6 +142,28 @@ class TestCommands:
             proc.stdout.close()
             err = proc.stderr.read()
         assert proc.returncode == 141 and err == b""
+
+    def test_sweep_streams_rows_to_a_closed_stdout(self):
+        # each CSV row is written as its instance finishes, so a reader that
+        # goes away after the header and two rows stops a 100000-instance
+        # sweep; a sweep that held its rows back is killed at the timeout
+        with subprocess.Popen(
+            [sys.executable, "-m", "evograph", "sweep", "path:n for n in 1..100000", "--fast"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+        ) as proc:
+            watchdog = threading.Timer(30, proc.kill)
+            watchdog.start()
+            try:
+                lines = [proc.stdout.readline() for _ in range(3)]
+                proc.stdout.close()
+                err = proc.stderr.read()
+                proc.wait()
+            finally:
+                watchdog.cancel()
+        assert proc.returncode == 141 and err == b""
+        assert [line.split(b",")[0] for line in lines] == [b"instance", b"path:1", b"path:2"]
 
     def test_analyze_single_vertex(self):
         code, out, _ = run_cli("analyze", "path:1", "--fast")
@@ -304,3 +333,44 @@ class TestCommands:
         path.write_text("2 1\n1 2\n")
         g = load_graph(str(path))
         assert g.n == 2
+
+
+# Runs in a fresh interpreter: the certificate path and the commands on it
+# must leave numpy unloaded, and the search names still resolve on demand.
+NUMPY_FREE_CHILD = """\
+import contextlib, io, sys
+import evograph
+from evograph import derive_constraints, generate_family, prove_null_only, replay_proof
+from evograph.cli import main
+from evograph.prooflog import NULL_ONLY, dump_log, load_log
+
+for desc in ("cmn:2,2", "tadpole:4,1"):
+    g = generate_family(desc)
+    verdict = prove_null_only(g)
+    system = derive_constraints(g)
+    assert verdict.kind == NULL_ONLY and replay_proof(system, load_log(dump_log(verdict.log, verdict.system), system))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["derive", "cmn:2,2"], ["prove", "tadpole:4,1"], ["gen", "bull"]):
+        assert main(argv) == 0, argv
+names = ["SearchConfig", "SearchOutcome", "closed_form_iso", "find_homomorphism", "gradient"]
+assert set(names) <= set(dir(evograph))
+assert "numpy" not in sys.modules, "numpy loaded"
+from evograph import SearchConfig, SearchOutcome, closed_form_iso, find_homomorphism, gradient
+from evograph import search
+assert [SearchConfig, SearchOutcome, closed_form_iso, find_homomorphism, gradient] == [
+    getattr(search, name) for name in names
+]
+assert "numpy" in sys.modules
+"""
+
+
+def test_certificate_path_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHILD], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attribute_still_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        evograph.no_such_name

@@ -63,6 +63,27 @@ class TestDeriveConstraints:
             c = next(c for c in sys.constraints if c.tag == f"prodzero:5:{i}:{j}")
             assert c.p == {tuple(sorted((v(i, 4), v(j, 4)))): F(1)}
 
+    @staticmethod
+    def _rows(system):
+        """Tags, then each row's items in insertion order with their types."""
+        return [(c.tag, [(m, x, type(x)) for m, x in c.p.items()]) for c in system.constraints]
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            "path:1", "path:2", "path:7", "cycle:3", "cycle:6", "star:4",
+            "complete_bipartite:2,3", "caterpillar:1,2,2", "cmn:3,2", "tadpole:4,3", "bull",
+        ],
+    )
+    def test_matches_term_builder(self, desc, derive_constraints_terms):
+        g = generate_family(desc)
+        assert self._rows(derive_constraints(g)) == self._rows(derive_constraints_terms(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs())
+    def test_matches_term_builder_generated(self, derive_constraints_terms, g):
+        assert self._rows(derive_constraints(g)) == self._rows(derive_constraints_terms(g))
+
     def test_deterministic_order(self):
         a = derive_constraints(bull_graph())
         b = derive_constraints(bull_graph())
