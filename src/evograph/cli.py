@@ -10,8 +10,9 @@ Commands:
   gen      write an edge-list file for a family
 
 Exit codes: 0 ok; 1 internal soundness tripwire (analyze, sweep) or a
-failed paper check; 2 input error; 3 budget exhausted where a
-certification was required; 141 stdout closed by its reader.
+failed paper check; 2 input error, or numpy missing for a command that
+needs it; 3 budget exhausted where a certification was required; 141
+stdout closed by its reader.
 
 Only the commands that run the numeric search or the closed forms
 (analyze, search, paper, sweep) import ``evograph.search``, and numpy with
@@ -246,12 +247,6 @@ def _report_no_algebra(args, key: str) -> int:
     return 0
 
 
-def _step_counts(log) -> tuple[int, int]:
-    """Steps the log keeps, and steps the engine derived: a null-only log
-    keeps its premise cone, which ends with the proof's last branch-close."""
-    return len(log.steps), log.steps[-1].sid + 1 if log.steps else 0
-
-
 def cmd_prove(args) -> int:
     g = load_graph(args.graph)
     if _no_algebra(classify_regularity(g)):
@@ -268,8 +263,7 @@ def cmd_prove(args) -> int:
         print(f"verdict: {verdict.kind}")
         if verdict.reason:
             print(f"reason: {verdict.reason}")
-        kept, derived = _step_counts(verdict.log)
-        print(f"proof log steps: {kept} (of {derived} derived)")
+        print(f"proof log steps: {len(verdict.log.steps)} (of {verdict.derived} derived)")
     if verdict.kind != NULL_ONLY and verdict.reason == "budget-exhausted":
         return 3
     return 0
@@ -368,11 +362,10 @@ def cmd_paper(args) -> int:
         t0 = time.time()
         verdict = prove_null_only(g, budget)
         rep = replay_proof(verdict.system, verdict.log)
-        kept, derived = _step_counts(verdict.log)
         check(
             f"null-only certification {inst}",
             verdict.kind == NULL_ONLY and bool(rep),
-            f"{kept} steps of {derived} derived, {time.time() - t0:.2f}s",
+            f"{len(verdict.log.steps)} steps of {verdict.derived} derived, {time.time() - t0:.2f}s",
         )
 
     for inst in NO_FALSE_CERT_INSTANCES:
@@ -573,6 +566,11 @@ def main(argv=None) -> int:
         return 141  # 128 + SIGPIPE
     except (GraphParseError, GraphError, InvalidRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: evograph {args.command} needs numpy, which cannot be imported", file=sys.stderr)
         return 2
     except SoundnessTripwire as exc:
         print(f"internal soundness error: {exc}", file=sys.stderr)

@@ -35,6 +35,14 @@ The engine derives nothing that no closure or verdict can read:
     ``is_homomorphism_direct``: a "found-structure" verdict needs no
     more of the tree.
 
+Of what it derives, the engine keeps the premise cone, whatever the
+verdict: the branch markers and every step they rest on.  A step cites
+only steps whose branch is a prefix of its own, so each case-tree node's
+own steps are trimmed as soon as its subtree finishes, and the engine
+holds only the kept steps and those of the open path.  The "!= 0" child
+of a split, opened last, takes its parent's state over instead of
+copying it.
+
 Soundness is the contract: a "null-only" verdict is issued only when
 every branch of an exhaustive split closes.  Budget exhaustion and
 unresolved branches surface as "unknown", never as a wrong verdict.
@@ -43,10 +51,11 @@ unresolved branches surface as "unknown", never as a wrong verdict.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NoReturn
 
 from . import poly
@@ -72,6 +81,7 @@ class Verdict:
     reason: str = ""
     witness: HomCandidate | None = None
     system: HomSystem | None = None  # the constraint system the log refers to
+    derived: int = 0  # steps the engine derived; the log keeps their premise cone
 
 
 class BudgetExhausted(Exception):
@@ -83,12 +93,22 @@ class BranchClosed(Exception):
 
 
 class _Shared:
-    """Log shared across all branches, and what the open leaves left."""
+    """The log under construction, shared across all branches, and what the
+    open leaves left.
+
+    Steps go to ``steps``, the own steps of the case-tree node being
+    explored.  ``_subtree`` gives each node its list and trims it when the
+    node's subtree finishes; ``trimmed`` holds each node's trimmed steps in
+    the order the nodes opened, which is log order.
+    """
 
     def __init__(self, sys: HomSystem, budget: Budget):
         self.sys = sys
         self.budget = budget
-        self.log = ProofLog()
+        self.next_sid = 0  # ids are never reused, so this counts derived steps
+        self.steps: list[Step] = []
+        self.trimmed: list[list[Step]] = []
+        self.cited: set[int] = set()  # ids that trimmed steps cite as premises
         self.open_leaves = 0
         self.witness: HomCandidate | None = None  # of the first open leaf that has one
         self.depth_cut = False
@@ -143,18 +163,21 @@ class DeductionState:
 
     def emit(self, rule: str, premises, conclusion, payload=None) -> Ref:
         sh = self.shared
-        sid = len(sh.log.steps)
+        sid = sh.next_sid
         if sid >= sh.budget.max_steps:
             raise BudgetExhausted()
-        step = Step(
-            sid=sid,
-            rule=rule,
-            branch=self.branch,
-            premises=tuple(premises),
-            conclusion=conclusion,
-            payload=payload or {},
+        sh.next_sid = sid + 1
+        sh.steps.append(
+            Step(
+                sid=sid,
+                rule=rule,
+                branch=self.branch,
+                premises=tuple(premises),
+                conclusion=conclusion,
+                payload=payload or {},
+            )
         )
-        return sh.log.append(step)
+        return ("s", sid)
 
     def contradict(self, rule: str, premises, payload=None) -> NoReturn:
         """Log a contradiction and close the branch on it."""
@@ -440,7 +463,7 @@ class DeductionState:
         return chains
 
     def run_scans(self) -> bool:
-        before = len(self.shared.log.steps)
+        before = self.shared.next_sid
         # the scans before _scan_radical_rows add facts, never rows, so one
         # classification of the rows serves all of them
         links, evidence, squares = self._two_term_rows()
@@ -448,7 +471,7 @@ class DeductionState:
         self._scan_mutex(chains, links)
         self._scan_square_cycles(chains, squares)
         self._scan_radical_rows()
-        return len(self.shared.log.steps) > before or bool(self.pending) or bool(self.dirty)
+        return self.shared.next_sid > before or bool(self.pending) or bool(self.dirty)
 
     def _scan_mutex(self, chains, links):
         # only a pair with a member in chains can fire, in ascending pair order;
@@ -731,12 +754,35 @@ def _explore(state: DeductionState, depth: int) -> bool:
         return False
     closed = True
     for nz in (False, True):
-        child = _open_branch(state, v, nz)
-        if child is not None and not _explore(child, depth + 1):
+        with _subtree(state.shared):
+            child = _open_branch(state, v, nz)
+            child_closed = child is None or _explore(child, depth + 1)
+        if not child_closed:
             closed = False
             if state.shared.witness is not None:
                 break  # the first witness settles the verdict
     return closed
+
+
+@contextmanager
+def _subtree(sh: _Shared):
+    """Collect the steps emitted inside as one case-tree node's own steps,
+    and trim them to their premise cone when the node's subtree finishes,
+    however it finishes.
+
+    Only steps in a node's subtree cite its steps: a premise's branch is a
+    prefix of the citing step's branch.  So once the subtree is done, the
+    ids its kept steps cite are all in ``sh.cited``.
+    """
+    own: list[Step] = []
+    slot = len(sh.trimmed)
+    sh.trimmed.append(own)
+    outer, sh.steps = sh.steps, own
+    try:
+        yield
+    finally:
+        sh.steps = outer
+        sh.trimmed[slot] = _premise_cone(own, sh.cited)
 
 
 def _leave_open(state: DeductionState, cut: bool):
@@ -750,9 +796,11 @@ def _leave_open(state: DeductionState, cut: bool):
 def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState | None:
     """The child of state that assumes v != 0 (nz) or v == 0.
 
-    None when v == 0 completes a zero column, which closes the child at once.
+    The v != 0 child is opened last and takes state over: nothing reads
+    state after its children.  None when v == 0 completes a zero column,
+    which closes the child at once.
     """
-    child = state.clone()
+    child = state if nz else state.clone()
     child.branch = state.branch + ((v, nz),)
     aref = child.emit("branch-open", [], ("assume", v, nz))
     # no value conflict: _pick_branch_var skips variables with a fact
@@ -773,9 +821,12 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     Returns a verdict carrying the proof log.  "null-only" is issued only
     when an exhaustive case split closes every branch; anything else
     (budget, unresolved branches, or an explicit nonzero solution) comes
-    back as "unknown" or "found-structure".  A "null-only" log keeps only
-    its premise cone, the steps its branch closures rest on; the other
-    logs stay whole, open leaves included.
+    back as "unknown" or "found-structure".  Whatever the verdict, the log
+    keeps only its premise cone: every branch marker, open leaves' included,
+    and the steps the branch closures rest on.  Each node's own steps are
+    trimmed when its subtree finishes, so the engine holds only the kept
+    steps and the open path's.  ``Verdict.derived`` counts every step
+    derived.
 
     Three early exits keep the engine from deriving what no verdict reads.
     A vanishing row (each monomial holds a known zero) is dropped unlogged.
@@ -793,54 +844,57 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     shared = _Shared(sys, budget)
     root = DeductionState(shared)
     try:
-        # the leaf rules add only zeros, and the root has no nonzero fact to
-        # conflict with; each zero is t_ik with just one of i, k a leaf, so
-        # no diagonal entry and hence no column is zeroed: nothing here closes
-        apply_leaf_rules(root)
-        apply_leaf_twin_cross_rules(root)
-        for idx in range(len(sys.constraints)):
-            root.enqueue(("c", idx), sys.constraints[idx].p)
-        closed = _explore(root, 0)
+        with _subtree(shared):
+            # the leaf rules add only zeros, and the root has no nonzero fact
+            # to conflict with; each zero is t_ik with just one of i, k a
+            # leaf, so no diagonal entry and hence no column is zeroed:
+            # nothing here closes
+            apply_leaf_rules(root)
+            apply_leaf_twin_cross_rules(root)
+            for idx in range(len(sys.constraints)):
+                root.enqueue(("c", idx), sys.constraints[idx].p)
+            closed = _explore(root, 0)
     except BudgetExhausted:
-        shared.log.verdict = UNKNOWN
-        return Verdict(
-            UNKNOWN, shared.log, open_branches=1, reason="budget-exhausted", system=sys
-        )
-    if closed:
-        shared.log.steps = _premise_cone(shared.log.steps)
-        shared.log.verdict = NULL_ONLY
-        return Verdict(NULL_ONLY, shared.log, system=sys)
-    if shared.witness is not None:
-        shared.log.verdict = FOUND_STRUCTURE
-        reason = "consistent nonzero assignment"
+        kind, reason, open_branches = UNKNOWN, "budget-exhausted", 1
     else:
-        shared.log.verdict = UNKNOWN
-        reason = "budget-exhausted" if shared.depth_cut else "open branches at fixpoint"
+        open_branches = shared.open_leaves
+        if closed:
+            kind, reason = NULL_ONLY, ""
+        elif shared.witness is not None:
+            kind, reason = FOUND_STRUCTURE, "consistent nonzero assignment"
+        else:
+            kind = UNKNOWN
+            reason = "budget-exhausted" if shared.depth_cut else "open branches at fixpoint"
     return Verdict(
-        shared.log.verdict,
-        shared.log,
-        open_branches=shared.open_leaves,
+        kind,
+        ProofLog(list(chain.from_iterable(shared.trimmed)), kind),
+        open_branches=open_branches,
         reason=reason,
         witness=shared.witness,
         system=sys,
+        derived=shared.next_sid,
     )
 
 
-def _premise_cone(steps: list[Step]) -> list[Step]:
-    """The steps a closed case tree rests on, in log order and with their ids.
+def _premise_cone(steps: list[Step], cited: set[int]) -> list[Step]:
+    """The steps of ``steps`` that the case tree rests on, in order and with
+    their ids: the branch markers, the steps whose ids are in ``cited``, and
+    every step reachable backwards from these through premises.
 
-    These are the branch markers and every step reachable backwards from a
-    branch-close through premises.  A step's id is its index and premises
-    precede their step, so one backward pass finds them all.
+    Premises precede their step, so one backward pass finds them all.  Each
+    id a kept step cites goes into ``cited``, so that the step it names is
+    kept too, here or when an ancestor's steps are trimmed.  On a whole
+    log, with ``cited`` empty, this is the log's premise cone.
     """
-    keep = bytearray(len(steps))
+    kept = []
     for s in reversed(steps):
-        if keep[s.sid] or s.rule in ("branch-open", "branch-close"):
-            keep[s.sid] = 1
+        if s.sid in cited or s.rule in ("branch-open", "branch-close"):
+            kept.append(s)
             for kind, sid in s.premises:
                 if kind == "s":
-                    keep[sid] = 1
-    return [s for s in steps if keep[s.sid]]
+                    cited.add(sid)
+    kept.reverse()
+    return kept
 
 
 def _leaf_witness(leaf: DeductionState) -> HomCandidate | None:

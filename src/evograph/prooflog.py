@@ -25,12 +25,13 @@ The replayer finally checks that the case-split tree is exhaustive (each
 split has both a "= 0" and a "!= 0" child) and that the claimed verdict
 follows.
 
-A null-only certificate holds exactly its premise cone: every
-``branch-open`` and ``branch-close`` step, and each step reachable
-backwards from them through premises.  The engine trims the log when it
-returns the verdict; kept steps keep their ids and order, so ids may skip.
-The replayer keys steps by id and needs nothing else.  Logs with other
-verdicts are kept whole, open leaves included.
+Every log the engine returns, whatever its verdict, holds exactly its
+premise cone: every ``branch-open`` and ``branch-close`` step, and each
+step reachable backwards from them through premises.  An open leaf's
+``branch-open`` steps stay, so its literals are in the log.  The engine
+trims each case-tree node's steps as its subtree finishes; kept steps
+keep their ids and order, so ids may skip.  The replayer keys steps by id
+and needs nothing else.
 
 The JSON document is declared once.  ``CONCLUSIONS`` lists each
 conclusion kind's fields in order, and ``_fields`` gives one (write,
@@ -90,10 +91,6 @@ class Step:
 class ProofLog:
     steps: list[Step] = field(default_factory=list)
     verdict: str = UNKNOWN
-
-    def append(self, step: Step) -> Ref:
-        self.steps.append(step)
-        return ("s", step.sid)
 
 
 class InvalidStep(Exception):

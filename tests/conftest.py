@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 import pytest
 
-from evograph import poly
-from evograph.deduce import Verdict, prove_null_only
-from evograph.graphs import Graph, generate_family
+from evograph import deduce, poly
+from evograph.deduce import Budget, Verdict, prove_null_only
+from evograph.graphs import Graph, build_graph, generate_family
 from evograph.homsystem import Constraint, HomSystem, derive_constraints
 
 
@@ -83,6 +83,14 @@ def derive_constraints_terms():
     return _derive_constraints_terms
 
 
+def _graph(desc: str) -> Graph:
+    """A family descriptor, or an edge list "n: u-v u-v ...", as a graph."""
+    if not desc[0].isdigit():
+        return generate_family(desc)
+    n, edges = desc.split(":")
+    return build_graph(int(n), [tuple(map(int, e.split("-"))) for e in edges.split()])
+
+
 class CorpusProof(NamedTuple):
     graph: Graph
     system: HomSystem  # derived apart from the engine's own copy
@@ -92,7 +100,7 @@ class CorpusProof(NamedTuple):
 
 @functools.cache
 def _corpus_proof(desc: str) -> CorpusProof:
-    g = generate_family(desc)
+    g = _graph(desc)
     system = derive_constraints(g)
     start = time.perf_counter()
     verdict = prove_null_only(g)
@@ -101,9 +109,24 @@ def _corpus_proof(desc: str) -> CorpusProof:
 
 @pytest.fixture(scope="session")
 def corpus_proof():
-    """The proof of a family descriptor, computed once a session.
+    """The proof of a family descriptor or edge list, computed once a session.
 
     Every test sees the same objects: a test that tampers with a log
     copies it first (``list(log.steps)``, ``dataclasses.replace``).
     """
     return _corpus_proof
+
+
+@functools.cache
+def _untrimmed_proof(desc: str, budget: Budget = Budget()) -> Verdict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deduce, "_premise_cone", lambda steps, cited: steps)
+        return prove_null_only(_graph(desc), budget)
+
+
+@pytest.fixture(scope="session")
+def untrimmed_proof():
+    """The proof of a family descriptor or edge list with the engine's trim
+    switched off, so its log holds every step derived; computed once a
+    session for each budget."""
+    return _untrimmed_proof

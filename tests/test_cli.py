@@ -216,6 +216,11 @@ class TestCommands:
         code, out, _ = run_cli("prove", "path:9")
         assert code == 0 and "proof log steps: 1760 (of 4796 derived)" in out
 
+    def test_prove_counts_every_derived_step_of_a_trimmed_unknown_log(self):
+        # an unknown log keeps its premise cone too: 2 074 of path:11's 8 520
+        code, out, _ = run_cli("prove", "path:11")
+        assert code == 3 and "proof log steps: 2074 (of 8520 derived)" in out
+
     def test_gen_round_trips(self, tmp_path):
         path = tmp_path / "t41.edges"
         code, _, _ = run_cli("gen", "tadpole:4,1", "-o", str(path))
@@ -369,6 +374,21 @@ def test_certificate_path_leaves_numpy_unloaded():
         [sys.executable, "-c", NUMPY_FREE_CHILD], capture_output=True, text=True, env=CHILD_ENV, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_numpy_is_an_error_line(monkeypatch, capsys):
+    # None in sys.modules makes an import fail as if numpy were not installed
+    monkeypatch.delitem(sys.modules, "evograph.search")
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert main(["search", "cycle:4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs numpy" in err
+
+
+def test_other_import_errors_still_raise(monkeypatch):
+    monkeypatch.setitem(sys.modules, "evograph.search", None)
+    with pytest.raises(ModuleNotFoundError, match="evograph.search"):
+        main(["search", "cycle:4"])
 
 
 def test_unknown_attribute_still_raises():

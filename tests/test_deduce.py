@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evograph
-from evograph import deduce, poly
+from evograph import poly
 from evograph.cli import (
     ISO_INSTANCES,
     NO_FALSE_CERT_INSTANCES,
@@ -140,7 +140,7 @@ class TestSaturate:
             try:
                 saturate(state)  # must reach a fixpoint or close within budget
             except BranchClosed:
-                assert state.shared.log.steps[-1].rule == "branch-close"
+                assert state.shared.steps[-1].rule == "branch-close"
             else:
                 assert not state.pending and not state.dirty
 
@@ -347,12 +347,15 @@ def test_occurrence_indexes_match_rows(desc):
     v = None if closed else _pick_branch_var(root)
     if v is None:
         return
-    for nz in (False, True):
-        child = _open_branch(root, v, nz)
+    # the "= 0" child works on a copy; the "!= 0" child takes the root over
+    zero_child = _open_branch(root, v, False)
+    _assert_indexes_match_rows(root)
+    nonzero_child = _open_branch(root, v, True)
+    assert nonzero_child is root
+    for child in (zero_child, nonzero_child):
         if child is not None:
             _saturate_or_close(child)
             _assert_indexes_match_rows(child)
-    _assert_indexes_match_rows(root)  # the children worked on copies
 
 
 def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
@@ -367,7 +370,7 @@ def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
     state._scan_radical_rows()
     assert state.values[x][0] == cube_root
     assert state.values[z][0] == cube_root
-    assert [(s.rule, s.premises) for s in state.shared.log.steps] == [
+    assert [(s.rule, s.premises) for s in state.shared.steps] == [
         ("linear-solve", (("c", 1), ("c", 0))),
         ("linear-solve", (("c", 2), ("s", 0))),
     ]
@@ -393,7 +396,7 @@ def test_square_cycle_past_the_factoring_bound_does_not_fire():
         "        state._add_row(ref, p, poly.leading_mono(p))\n"
         "    start = time.perf_counter()\n"
         "    saturate(state)\n"
-        "    steps = [(s.rule, s.payload.get('mode')) for s in state.shared.log.steps]\n"
+        "    steps = [(s.rule, s.payload.get('mode')) for s in state.shared.steps]\n"
         "    out.append([steps, time.perf_counter() - start])\n"
         "print(json.dumps(out))\n"
     )
@@ -419,31 +422,22 @@ CORPUS = list(
 CORPUS_AND_BENCHMARK = list(dict.fromkeys(CORPUS + _benchmark_certify_instances()))
 
 
-def _whole_log(desc, corpus_proof):
-    """(system, every step the engine derived): a null-only log untrimmed."""
-    _, system, verdict, _ = corpus_proof(desc)
-    if verdict.kind != NULL_ONLY:
-        return system, verdict.log.steps
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(deduce, "_premise_cone", lambda steps: steps)
-        return system, prove_null_only(generate_family(desc)).log.steps
-
-
 @pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
-def test_no_step_concludes_an_empty_row(desc, corpus_proof):
-    _, steps = _whole_log(desc, corpus_proof)
+def test_no_step_concludes_an_empty_row(desc, untrimmed_proof):
+    steps = untrimmed_proof(desc).log.steps
     assert not [s.sid for s in steps if s.conclusion == ("row", {})]
 
 
 @pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
-def test_a_zero_column_closes_its_branch_at_once(desc, corpus_proof):
+def test_a_zero_column_closes_its_branch_at_once(desc, untrimmed_proof):
     """The zero that first makes a column all zero is followed by the close.
 
     Next in the log comes either the branch's column-zero-propagate on that
     column and then its branch-close, or a contradiction on that very zero;
     every column-zero-propagate sits at such a place.
     """
-    system, steps = _whole_log(desc, corpus_proof)
+    verdict = untrimmed_proof(desc)
+    system, steps = verdict.system, verdict.log.steps
     n = system.n
     zeros: dict[tuple, set[int]] = {(): set()}  # each branch's zero variables
     closes = set()

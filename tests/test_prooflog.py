@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import evograph
-from evograph import deduce, poly
+from evograph import poly
 from evograph.cli import (
     ISO_INSTANCES,
     NO_FALSE_CERT_INSTANCES,
@@ -38,6 +38,7 @@ from evograph.prooflog import (
     replay_proof,
 )
 from evograph.radicals import Radical, fraction_str
+from test_deduce import CORPUS_AND_BENCHMARK
 
 # The child process imports the same evograph as this one, installed or not.
 SRC = os.path.dirname(os.path.dirname(evograph.__file__))
@@ -341,12 +342,6 @@ def test_checks_state_exactly_the_declared_conclusion_kinds():
     assert {kind for kinds, _ in CHECKS.values() for kind in kinds} == set(CONCLUSIONS)
 
 
-def _edge_list_graph(spec: str):
-    """ "n: u-v u-v ..." as a graph."""
-    n, edges = spec.split(":")
-    return build_graph(int(n), [tuple(map(int, e.split("-"))) for e in edges.split()])
-
-
 # Null-only graphs whose logs reach the table entries no corpus log reaches:
 # mutex-elim/pair in the first; both negative-square modes and
 # value-conflict/eval in the second.
@@ -357,13 +352,12 @@ RARE_RULE_GRAPHS = [
 
 
 @pytest.fixture(scope="module")
-def rare_rule_logs():
+def rare_rule_logs(corpus_proof):
     out = {}
     for spec in RARE_RULE_GRAPHS:
-        g = _edge_list_graph(spec)
-        verdict = prove_null_only(g)
+        _, system, verdict, _ = corpus_proof(spec)
         assert verdict.kind == NULL_ONLY
-        out[spec] = derive_constraints(g), verdict.log
+        out[spec] = system, verdict.log
     return out
 
 
@@ -374,13 +368,13 @@ def test_rare_rule_logs_replay(spec, rare_rule_logs):
     assert replay_proof(sys_, load_log(dump_log(log, sys_), sys_))
 
 
-def test_every_table_entry_occurs_in_an_engine_log(rare_rule_logs, corpus_proof):
+def test_every_table_entry_occurs_in_an_engine_log(untrimmed_proof):
+    # in what the engine derives: a rare pair may lie outside every premise cone
     corpus = dict.fromkeys(
         NULL_ONLY_INSTANCES + ISO_INSTANCES + NO_FALSE_CERT_INSTANCES + NUMERIC_NULL_INSTANCES
+        + RARE_RULE_GRAPHS
     )
-    logs = [log for _, log in rare_rule_logs.values()]
-    logs += [corpus_proof(desc).verdict.log for desc in corpus]
-    seen = {_table_key(s) for log in logs for s in log.steps}
+    seen = {_table_key(s) for desc in corpus for s in untrimmed_proof(desc).log.steps}
     assert seen == set(CHECKS)
     assert RULES == {rule for rule, _ in CHECKS} and len(CHECKS) == 19
 
@@ -408,11 +402,10 @@ def test_load_log_rejects_another_graph(bull_proof):
         load_log(dump_log(log, sys_), derive_constraints(permuted))
 
 
-def test_coefficients_past_the_int_str_limit_round_trip():
+def test_coefficients_past_the_int_str_limit_round_trip(corpus_proof):
     # one lincomb factor in this log has 17 347 digits, past Python's
     # default limit of 4300 digits for int <-> str conversion
-    g = _edge_list_graph("5: 1-2 1-5 2-3 2-4 2-5 3-4 4-5")
-    sys_, verdict = derive_constraints(g), prove_null_only(g)
+    _, sys_, verdict, _ = corpus_proof("5: 1-2 1-5 2-3 2-4 2-5 3-4 4-5")
     assert verdict.kind == NULL_ONLY
     limit = sys.get_int_max_str_digits()
     text = dump_log(verdict.log, sys_)
@@ -461,11 +454,12 @@ def test_corpus_proof_logs_byte_identical(desc, corpus_log):
 
 # sha256 of dump_log's text for logs the pins above do not reach: a deep
 # null-only tree (1 760 of 4 796 derived steps kept, depth 8) and a
-# found-structure log that ends at its witness leaf, kept whole.  The exact kernel's
-# arithmetic and the engine's row store must not change a single step of them.
+# found-structure log that ends at its witness leaf (345 of 541 kept).  The
+# exact kernel's arithmetic and the engine's row store must not change a
+# single step of them.
 DEEP_LOG_SHA256 = {
     "path:9": "b821eade91b6bbdc31c8782ee65fe75c4a139b3f80b75b51175fcd286af2fa23",
-    "cycle:5": "700ac49c95f8adbc824e1d2ab921985a66552180c94da310335dfd65147ac6fb",
+    "cycle:5": "74992cb3edd41b98832bf49ba719d2f96fee91d8a022d30b9b5b8ccdf2a84c93",
 }
 
 
@@ -478,13 +472,14 @@ def test_deep_and_open_proof_logs_byte_identical(desc, corpus_log):
 # sha256 of dump_log's text for the logs that hold the multi-row scans'
 # rarer modes: mutex-elim/pair (twice in 967 of 1 331 derived steps),
 # quad-solve-nonzero/single (1 438 of 3 869) and quad-solve-nonzero/pair
-# (20 steps in complete_bipartite:2,3, an unknown log kept whole).
+# (once in the 1 249 of 3 474 derived steps that complete_bipartite:2,3's
+# unknown log keeps).
 SCAN_LOG_SHA256 = {
     "6: 1-5 2-3 2-4 2-5 3-4 3-5 5-6":
         "07b01681d05102fed62ea175a8c64f54cdf6b0c72a2720721d31ce3d23008056",
     "6: 1-2 1-3 1-4 1-5 2-3 2-4 2-5 3-4 3-5 4-5 4-6 5-6":
         "f259e367910f9e9ec99cbf4b42da594d8e351ba8e5712510850b4f57f230846c",
-    "complete_bipartite:2,3": "d139f8a28f867d06a9bd3f49c9fc120543cab97034650805e5112fc932c3bd42",
+    "complete_bipartite:2,3": "5a1fbf5c128c23502708b42547481fdeebab52de899cc1b97ce0399422784cc9",
 }
 
 
@@ -652,17 +647,68 @@ def test_gc_state_restored_after_step_budget_runs_out(enabled, gc_state):
 # -- the premise cone -------------------------------------------------------------
 
 
+def _assert_premise_cone(verdict, untrimmed):
+    """verdict's log is the premise cone of the untrimmed log, and its
+    derived count is that log's length."""
+    whole = untrimmed.log.steps
+    assert [s.sid for s in whole] == list(range(verdict.derived))
+    assert (verdict.kind, verdict.open_branches, verdict.reason) == (
+        untrimmed.kind, untrimmed.open_branches, untrimmed.reason
+    )
+    keep = set()
+    for s in reversed(whole):
+        if s.sid in keep or s.rule in ("branch-open", "branch-close"):
+            keep.add(s.sid)
+            keep.update(sid for kind, sid in s.premises if kind == "s")
+    assert verdict.log.steps == [s for s in whole if s.sid in keep]
+    assert len(verdict.log.steps) < len(whole)
+
+
 @pytest.mark.parametrize("desc", NULL_ONLY_INSTANCES + RARE_RULE_GRAPHS)
-def test_null_only_log_is_its_premise_cone(desc, monkeypatch):
-    g = _edge_list_graph(desc) if desc[0].isdigit() else generate_family(desc)
-    kept = prove_null_only(g).log.steps
-    monkeypatch.setattr(deduce, "_premise_cone", list)
-    whole = prove_null_only(g).log.steps
-    ids = {s.sid for s in kept}
-    assert len(kept) < len(whole) and kept[-1] == whole[-1]
-    assert [s for s in whole if s.sid in ids] == kept
-    assert {s.sid for s in whole if s.rule in ("branch-open", "branch-close")} <= ids
-    assert all(sid in ids for s in kept for kind, sid in s.premises if kind == "s")
+def test_null_only_log_is_its_premise_cone(desc, corpus_proof, untrimmed_proof):
+    verdict = corpus_proof(desc).verdict
+    assert verdict.kind == NULL_ONLY
+    _assert_premise_cone(verdict, untrimmed_proof(desc))
+    assert verdict.log.steps[-1] == untrimmed_proof(desc).log.steps[-1]
+
+
+OPEN_LOGS = [
+    desc
+    for desc in CORPUS_AND_BENCHMARK + ["cycle:12", "path:13"]
+    if desc not in NULL_ONLY_INSTANCES
+]
+
+
+@pytest.mark.parametrize("desc", OPEN_LOGS)
+def test_every_log_is_its_premise_cone(desc, corpus_proof, untrimmed_proof):
+    # unknown and found-structure logs too: their open leaves keep their
+    # branch-open steps, so each open leaf's literals stay in the log
+    _assert_premise_cone(corpus_proof(desc).verdict, untrimmed_proof(desc))
+
+
+@pytest.mark.parametrize(
+    "desc, max_steps", [("bull", 40), ("path:9", 2_000), ("complete_bipartite:2,3", 1_000)]
+)
+def test_budget_exhausted_log_is_its_premise_cone(desc, max_steps, untrimmed_proof):
+    # the step budget runs out at the root, and deep in a case tree
+    budget = Budget(max_steps=max_steps)
+    g = generate_family(desc)
+    verdict = prove_null_only(g, budget)
+    assert verdict.reason == "budget-exhausted" and verdict.derived == max_steps
+    _assert_premise_cone(verdict, untrimmed_proof(desc, budget))
+    assert replay_proof(derive_constraints(g), verdict.log)
+
+
+@pytest.mark.parametrize("desc", ["complete_bipartite:2,3", "cycle:5"])
+def test_open_logs_survive_dump_and_load(desc, corpus_log, corpus_proof):
+    # an unknown log and a found-structure log, both trimmed
+    sys_, text = corpus_log(desc)
+    verdict = corpus_proof(desc).verdict
+    assert verdict.kind != NULL_ONLY and verdict.open_branches
+    log = load_log(text, sys_)
+    shape = lambda log: [(s.sid, s.rule, s.branch, s.premises, s.payload) for s in log.steps]
+    assert log.verdict == verdict.kind and shape(log) == shape(verdict.log)
+    assert replay_proof(sys_, log)
 
 
 @pytest.mark.parametrize("desc", ["cmn:2,2", "bull"])
@@ -761,9 +807,11 @@ def test_forged_cube_root_rejected_quickly(tmp_path, corpus_proof):
     assert not ok and index == verdict.log.steps[-1].sid + 2 and seconds < 1.0
 
 
-def test_cube_root_with_a_composite_base_rejected(corpus_log):
-    # 1/4*4^(1/3) cubes to 1/16 as the normal form 1/4*2^(2/3) does
-    sys_, text = corpus_log("star:4")
+def test_cube_root_with_a_composite_base_rejected(corpus_proof, untrimmed_proof):
+    # 1/4*4^(1/3) cubes to 1/16 as the normal form 1/4*2^(2/3) does; the
+    # pair step lies outside star:4's premise cone, so the whole log is used
+    _, sys_, _, _ = corpus_proof("star:4")
+    text = dump_log(untrimmed_proof("star:4").log, sys_)
     assert replay_proof(sys_, load_log(text, sys_))
     document = json.loads(text)
     step = next(
