@@ -84,15 +84,18 @@ def multiply(alg: EvolutionAlgebra, x: Element, y: Element) -> Element:
 
     The result is sum_i x_i * y_i * row_i(M), over floats or over any mix
     of Fraction, int and RadicalSum (which meets rationals on either side).
+    A coordinate with a zero factor is skipped before it is multiplied.
     """
     if len(x.coeffs) != alg.n or len(y.coeffs) != alg.n:
         raise DimensionMismatch(
             f"element lengths {len(x.coeffs)},{len(y.coeffs)} vs algebra dimension {alg.n}"
         )
     acc = [Fraction(0)] * alg.n
-    for i in range(alg.n):
-        prod = x.coeffs[i] * y.coeffs[i]
-        if not prod:
+    for i, (xi, yi) in enumerate(zip(x.coeffs, y.coeffs)):
+        if not xi or not yi:
+            continue
+        prod = xi * yi
+        if not prod:  # a float product can underflow
             continue
         row = alg.M[i]
         for k in range(alg.n):

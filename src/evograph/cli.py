@@ -496,7 +496,9 @@ def _int_at_least(lo: int):
 _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--seed": dict(type=_int_at_least(0), default=0),
-    "--restarts": dict(type=_int_at_least(1), default=200),
+    "--restarts": dict(
+        type=_int_at_least(1), default=200, help="most numeric-search restarts tried"
+    ),
     "--fast": dict(action="store_true", help="skip numeric search"),
     "--depth": dict(
         type=_int_at_least(0), default=Budget().max_depth, help="case-split depth budget"

@@ -727,16 +727,15 @@ def saturate(state: DeductionState) -> DeductionState:
 
 
 def _pick_branch_var(state: DeductionState) -> int | None:
-    counts: dict[int, int] = {}
-    for _, pvars in state.row_info.values():
-        for v in pvars:
-            if (
-                v not in state.zeros
-                and v not in state.values
-                and v not in state.nonzero
-                and (v,) not in state.basis
-            ):
-                counts[v] = counts.get(v, 0) + 1
+    """The undecided variable in the most rows, the least on a tie."""
+    counts = {
+        v: len(refs)
+        for v, refs in state.var_rows.items()
+        if v not in state.zeros
+        and v not in state.values
+        and v not in state.nonzero
+        and (v,) not in state.basis
+    }
     if not counts:
         return None
     best = max(counts.values())

@@ -4,8 +4,12 @@ Search minimises the sum of squared constraint residuals with a damped
 least-squares iteration (Levenberg-Marquardt style schedule) from many
 random restarts, stops a restart as soon as it enters the null basin
 and discards it, and tries to reconstruct any near-exact minimiser as
-rational or radical entries for exact verification.  A reported "none
-found" is evidence, not a proof; only the deduction engine certifies.
+rational or radical entries for exact verification.  It stops at the
+restart that settles its outcome, the first to stop with a residual
+below ``TOL_RESIDUAL`` outside the null basin, once every earlier
+restart has stopped; see ``_lm_minimize`` for why the outcome is the
+one a run of every restart gives.  A reported "none found" is
+evidence, not a proof; only the deduction engine certifies.
 
 The null basin is the points of entry max-norm below ``TOL_NULL = 1e-3``.
 On a singular graph the null map is a singular root of the residual (at
@@ -72,7 +76,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Counts of one search: restarts, restarts stopped on entering the null
+    """Counts of one search: restarts begun (a block of them at a time, up
+    to ``SearchConfig.restarts``), restarts stopped on entering the null
     basin, LM row-iterations (one normal-equations build each) and rejected
     steps (a failed or singular step on one row)."""
 
@@ -189,6 +194,13 @@ def gradient(sys: HomSystem, T) -> np.ndarray:
     return (2.0 * Jr[0]).reshape(sys.n, sys.n)
 
 
+def _settles(res: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The points, given by residual max-norm ``res`` and entry max-norm
+    ``size``, that settle a search: residual below ``TOL_RESIDUAL``,
+    outside the null basin."""
+    return (res < TOL_RESIDUAL) & (size >= TOL_NULL)
+
+
 def _lm_minimize(
     form: _MatrixForm, X0: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
@@ -201,24 +213,43 @@ def _lm_minimize(
     basin (entry max-norm below ``TOL_NULL`` = 1e-3), which the caller
     discards: from there on a singular graph the steps only halve the
     distance to the null map (see the module docstring).
+
+    A row settles when it stops at a point that passes ``_settles``.
+    From then on every row with a higher index stops where it is, and
+    rows with a lower index run on to their own stop.  This leaves the
+    outcome of ``find_homomorphism`` as it is: a settled row's residual
+    is below ``TOL_RESIDUAL <= least + TOL_RESIDUAL``, so it passes the
+    selection test whatever ``least`` is, and it comes before every row
+    that stopped early, which can lower ``least`` but never be picked.
+    The rows before it run as they would alone, so one of them can
+    still win.
+
     Each row carries the products ``form.evaluate`` gave at its point, so
     they are computed once per step, at the trial point.  Returns the
     final points, their residuals and the counts of the run.
     """
     X = X0.copy()
     N = X.shape[1]
-    live = np.arange(len(X))  # rows still iterating
+    live = np.arange(len(X))  # rows still iterating, in ascending order
     r, R, S = form.evaluate(X)
     final = r  # every row's residuals; r, R and S below hold the live rows'
     cost = np.sum(r * r, axis=1)
     lam = np.full(len(X), 1e-3)
     stop = np.zeros(len(X), dtype=bool)
+    cut = len(X)  # rows past the lowest settled one stop where they are
     null_exits = iterations = rejected = 0
     for _ in range(max_iter):
         x = X[live]
-        active = ~stop & (np.abs(r).max(axis=1) >= 1e-14)
-        null = active & (np.abs(x).max(axis=1) < TOL_NULL)
+        res, size = np.abs(r).max(axis=1), np.abs(x).max(axis=1)
+        active = ~stop & (res >= 1e-14)
+        null = active & (size < TOL_NULL)
+        if not active.all():  # rows stop here; the first that settles stops those past it
+            settled = live[~active & _settles(res, size)]
+            if len(settled):
+                cut = settled[0]
         keep = active & ~null
+        if cut < len(X):
+            keep &= live < cut
         null_exits += int(np.count_nonzero(null))
         live, x, r, cost, lam, R, S = live[keep], x[keep], r[keep], cost[keep], lam[keep], R[keep], S[keep]
         if not len(live):
@@ -291,6 +322,12 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     ``TOL_RESIDUAL`` of the least, on the same side of ``TOL_RESIDUAL``,
     tie, and ties go to the lowest restart index, so float noise in the
     last bits does not pick the point.
+
+    So the first restart that stops with a residual below ``TOL_RESIDUAL``
+    outside the null basin is picked, and once one has, later restarts
+    can only tie with it and lose: ``_lm_minimize`` stops the rows after
+    it in its block, and no further block begins.  ``cfg.restarts`` is
+    the most restarts tried; ``stats.restarts`` counts those begun.
     """
     n = g.n
     form = _MatrixForm(g)
@@ -303,10 +340,12 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     for first in range(0, cfg.restarts, block):
         X, r, counts = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
         stats += counts
-        res = np.abs(r).max(axis=1)
+        res, size = np.abs(r).max(axis=1), np.abs(X).max(axis=1)
         for b, x in enumerate(X):
-            if np.max(np.abs(x)) >= TOL_NULL:
+            if size[b] >= TOL_NULL:
                 found.append((float(res[b]), first + b, x))
+        if _settles(res, size).any():
+            break  # no later restart can be picked
     if not found:
         return SearchOutcome(NONE_FOUND, float("inf"), stats=stats)
     least = min(f[0] for f in found)

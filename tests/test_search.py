@@ -28,6 +28,7 @@ from evograph.search import (
     SearchStats,
     _lm_minimize,
     _MatrixForm,
+    _settles,
     closed_form_iso,
     find_homomorphism,
     gradient,
@@ -200,6 +201,23 @@ class TestCarriedProducts:
             xb, rb, _ = _lm_minimize(form, x0[None], MAX_ITERATIONS)
             assert xb[0].tobytes() == X[b].tobytes() and rb[0].tobytes() == r[b].tobytes()
 
+    def test_rows_past_a_settled_row_stop_with_it(self):
+        # cycle:4 at seed 0: rows 0-3 end in the null basin, row 4 settles
+        form = _Recording(cycle_graph(4))
+        X0 = np.random.default_rng(0).uniform(-INIT_SCALE, INIT_SCALE, size=(8, form.n**2))
+        alone = [_lm_minimize(form, x0[None], MAX_ITERATIONS) for x0 in X0]
+        settles = [bool(_settles(np.abs(r).max(axis=1), np.abs(x).max(axis=1))[0]) for x, r, _ in alone]
+        s = settles.index(True)
+        assert s == 4 and alone[s][2].iterations == 7
+        X, r, stats = _lm_minimize(form, X0, MAX_ITERATIONS)
+        for b in range(s + 1):  # the settled row and those before it run to their own stop
+            xb, rb, _ = alone[b]
+            assert xb[0].tobytes() == X[b].tobytes() and rb[0].tobytes() == r[b].tobytes()
+        for b in range(s + 1, len(X0)):  # the rows after it stop no later than it
+            xb, rb, _ = _lm_minimize(form, X0[b][None], alone[s][2].iterations)
+            assert xb[0].tobytes() == X[b].tobytes() and rb[0].tobytes() == r[b].tobytes()
+        assert stats.iterations < sum(a[2].iterations for a in alone)
+
     @pytest.mark.parametrize("desc", ["cycle:6", "bull", "cmn:2,2", "path:1"])
     def test_returned_residuals_are_those_of_the_points(self, desc):
         form = _MatrixForm(generate_family(desc))
@@ -234,11 +252,63 @@ class TestNullBasinExit:
         assert closed_form_iso(g).max_abs() >= 20 * TOL_NULL
 
     def test_counts_do_not_depend_on_blocks(self, monkeypatch):
+        """This holds because no bull restart settles: a settled restart
+        stops the rows after it in its block and every later block, so
+        the counts of a search with one would depend on the blocks."""
         g, cfg = bull_graph(), SearchConfig(restarts=6, seed=0)
         stacked = find_homomorphism(g, cfg).stats
         monkeypatch.setattr(search, "BLOCK_BYTES", 1)  # one restart per block
         assert find_homomorphism(g, cfg).stats == stacked
         assert stacked.restarts == 6 and stacked.iterations > stacked.rejected > 0
+
+
+def _outcome_key(out):
+    T = None if out.T is None else np.array(out.T.entries, dtype=np.float64).tobytes()
+    return (out.kind, float(out.best_residual).hex(), out.restart_index, T, out.exact, out.isomorphism)
+
+
+class TestSettledStop:
+    """The search stops at the restart that settles its outcome, and
+    returns the outcome it would return with every restart run."""
+
+    def test_no_block_begins_after_a_settled_restart(self):
+        g = complete_bipartite(3, 4)
+        out = find_homomorphism(g, SearchConfig(restarts=200, seed=0))
+        assert search.BLOCK_BYTES // (8 * g.n**4) == 67
+        assert out.restart_index == 0 and out.stats.restarts == 67
+
+    @pytest.mark.parametrize("desc, winner", [("cycle:4", 4), ("star:4", 9)])
+    def test_one_row_blocks_stop_at_the_winner(self, monkeypatch, desc, winner):
+        g, cfg = generate_family(desc), SearchConfig(restarts=200, seed=0)
+        stacked = find_homomorphism(g, cfg)
+        monkeypatch.setattr(search, "BLOCK_BYTES", 1)  # one restart per block
+        alone = find_homomorphism(g, cfg)
+        assert alone.restart_index == winner and alone.stats.restarts == winner + 1
+        assert _outcome_key(alone) == _outcome_key(stacked)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("desc", ["cycle:4", "star:4", "complete_bipartite:3,4"])
+    def test_matches_every_restart_run_alone(self, desc, seed):
+        g, restarts = generate_family(desc), 40
+        form = _MatrixForm(g)
+        starts = np.random.default_rng(seed).uniform(
+            -INIT_SCALE, INIT_SCALE, size=(restarts, form.n**2)
+        )
+        found = []  # the selection rule of find_homomorphism, over every restart
+        for i, x0 in enumerate(starts):
+            X, r, _ = _lm_minimize(form, x0[None], MAX_ITERATIONS)
+            if np.abs(X[0]).max() >= TOL_NULL:
+                found.append((np.abs(r[0]).max(), i, X[0]))
+        least = min(f[0] for f in found)
+        res, idx, x = next(
+            f
+            for f in found
+            if f[0] <= least + TOL_RESIDUAL and (f[0] < TOL_RESIDUAL) == (least < TOL_RESIDUAL)
+        )
+        out = find_homomorphism(g, SearchConfig(restarts=restarts, seed=seed))
+        assert res < TOL_RESIDUAL and out.stats.restarts <= restarts
+        assert (out.restart_index, out.best_residual) == (idx, res)
+        assert np.array(out.T.entries, dtype=np.float64).tobytes() == x.tobytes()
 
 
 class TestOutcomePins:
