@@ -427,6 +427,12 @@ def parse_sweep(spec: str) -> Iterator[str]:
             raise InvalidRange(f"bad value list {values!r}") from exc
     name, _, argstr = template.partition(":")
     toks = [tok.strip() for tok in argstr.split(",")] if argstr else []
+    for tok in toks:
+        if tok not in varnames:
+            try:
+                int(tok)
+            except ValueError as exc:
+                raise InvalidRange(f"{tok!r} in {template!r} is neither an integer nor a sweep variable") from exc
 
     def instance(combo) -> str:
         env = dict(zip(varnames, combo))

@@ -10,6 +10,11 @@ and ``Radical.root`` takes exact n-th roots of rationals, which covers
 every scalar arising from the cube/square-root solving steps downstream, e.g.
 ``2**Fraction(-2,3)`` or ``(k1*k1*k2)**Fraction(-1,3)``.
 
+``Radical.root`` factors by trial division by the primes below 1000 only; a
+cofactor left over must be a prime below ``_MR_EXACT``, or it raises
+``FactoringEffortExceeded`` at once.  So every base it writes passes
+``_is_prime``, which the proof replayer applies to a stated cube root.
+
 A :class:`RadicalSum` is a formal rational combination of radical terms
 keyed by their radical part.  Sums and products stay exact, and the zero
 test is decidable: by linear independence of distinct radical parts over
@@ -24,8 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import gcd, isqrt
+from math import isqrt
 
 Parts = tuple[tuple[int, Fraction], ...]
 
@@ -34,24 +38,19 @@ _SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin with _MR_BASES is exact below this bound (Sorenson & Webster 2015).
 _MR_EXACT = 3317044064679887385961981
-# Pollard-Brent gives up after this much work, counted in steps of its map
-# times the 32-bit words of the number it splits (a step costs more on a
-# longer number).  That splits the 25-digit _MR_EXACT, a product of two
-# 13-digit primes, and gives up within about a second on any number: half a
-# second on a 40-digit product of two 20-digit primes, which would need some
-# 10^10 steps.
-BRENT_WORK = 1 << 23
 
 
 class FactoringEffortExceeded(ArithmeticError):
-    """Pollard-Brent found no factor within ``BRENT_WORK``."""
+    """Trial division by ``_SMALL_PRIMES`` left a cofactor that is not a
+    prime below ``_MR_EXACT``."""
 
 
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization, ascending: trial division by small primes, then
-    exact roots of perfect powers and Pollard-Brent on the cofactor.
+    """Prime factorization, ascending, by trial division by ``_SMALL_PRIMES``.
 
-    Raises ``FactoringEffortExceeded`` when Pollard-Brent hits its bound.
+    A cofactor left over counts as one more prime when ``_is_prime`` accepts
+    it; any other cofactor raises ``FactoringEffortExceeded``.  So every
+    prime returned is one that ``_is_prime`` accepts.
     """
     if n <= 0:
         raise ValueError(f"can only factor positive integers, got {n}")
@@ -62,40 +61,18 @@ def _factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        elif power := _perfect_power(m):
-            root, k = power
-            stack += [root] * k
-        else:
-            f = _brent(m)
-            stack += [f, m // f]
-    return dict(sorted(out.items()))
-
-
-def _perfect_power(m: int) -> tuple[int, int] | None:
-    """(r, k) with r**k == m for a prime k, if m is a perfect power.
-
-    Pollard-Brent needs about sqrt(p) steps to split p**k, so perfect
-    powers are split by exact integer roots first."""
-    for k in _SMALL_PRIMES:
-        if k > m.bit_length():
-            break
-        r = 1 << -(-m.bit_length() // k)  # above the k-th root; Newton descends
-        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
-            r = s
-        if r**k == m:
-            return r, k
-    return None
+    if n > 1:
+        if not _is_prime(n):
+            raise FactoringEffortExceeded(
+                f"trial division leaves a {n.bit_length()}-bit cofactor, not a prime below _MR_EXACT"
+            )
+        out[n] = 1
+    return out
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over _MR_BASES, plus a strong Lucas test above _MR_EXACT
-    (together the Baillie-PSW test)."""
-    if n < 2:
+    """Miller-Rabin over _MR_BASES: true exactly for the primes below _MR_EXACT."""
+    if n < 2 or n >= _MR_EXACT:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -103,7 +80,7 @@ def _is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES if n < _MR_EXACT else (2,):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -113,88 +90,7 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT or _strong_lucas(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    a %= n
-    out = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                out = -out
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            out = -out
-        a %= n
-    return out if n == 1 else 0
-
-
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test for odd n, Selfridge parameters (P = 1)."""
-    if isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while (j := _jacobi(D, n)) == 1:
-        D = -D - 2 if D > 0 else -D + 2
-    if j == 0:
-        return False
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-
-    def half(x: int) -> int:
-        x %= n
-        return (x + n) // 2 if x % 2 else x // 2
-
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
-def _brent(n: int) -> int:
-    """A proper factor of the composite n (Pollard's rho, Brent's cycle search).
-
-    Raises ``FactoringEffortExceeded`` rather than start a round that would
-    take its work past ``BRENT_WORK``.
-    """
-    words, work = n.bit_length() // 32 + 1, 0
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            work += 2 * r * words  # a round takes at most 2r steps
-            if work > BRENT_WORK:
-                raise FactoringEffortExceeded(f"no factor of a {n.bit_length()}-bit number")
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+    return True
 
 
 def _normalize(coeff: Fraction, exponents: dict[int, Fraction]) -> tuple[Fraction, Parts]:
@@ -283,7 +179,8 @@ class Radical:
     def root(q, n: int) -> "Radical":
         """Exact real n-th root of a rational.
 
-        Odd n accepts any sign; even n requires q >= 0.
+        Odd n accepts any sign; even n requires q >= 0.  Raises
+        ``FactoringEffortExceeded`` where ``_factorize`` gives up.
         """
         q = Fraction(q)
         if n <= 0:

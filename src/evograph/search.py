@@ -327,18 +327,19 @@ def find_homomorphism(g: Graph, cfg: SearchConfig = SearchConfig()) -> SearchOut
     outside the null basin is picked, and once one has, later restarts
     can only tie with it and lose: ``_lm_minimize`` stops the rows after
     it in its block, and no further block begins.  ``cfg.restarts`` is
-    the most restarts tried; ``stats.restarts`` counts those begun.
+    the most restarts tried; ``stats.restarts`` counts those begun.  A
+    block's starts are drawn as it begins, from one generator seeded with
+    ``cfg.seed``, so they are the same doubles whatever the block size.
     """
     n = g.n
     form = _MatrixForm(g)
-    starts = np.random.default_rng(cfg.seed).uniform(
-        -INIT_SCALE, INIT_SCALE, size=(cfg.restarts, n * n)
-    )
+    rng = np.random.default_rng(cfg.seed)
     block = max(1, BLOCK_BYTES // (8 * n**4))
     found: list[tuple[float, int, np.ndarray]] = []  # residual, restart, point
     stats = SearchStats()
     for first in range(0, cfg.restarts, block):
-        X, r, counts = _lm_minimize(form, starts[first : first + block], MAX_ITERATIONS)
+        starts = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(min(block, cfg.restarts - first), n * n))
+        X, r, counts = _lm_minimize(form, starts, MAX_ITERATIONS)
         stats += counts
         res, size = np.abs(r).max(axis=1), np.abs(X).max(axis=1)
         for b, x in enumerate(X):

@@ -86,6 +86,8 @@ class TestSweepParsing:
             parse_sweep("tadpole:4,m for m in x..y")
         with pytest.raises(InvalidRange):
             parse_sweep("tadpole:4,m for m")
+        with pytest.raises(InvalidRange, match="'b'"):
+            parse_sweep("cmn:a,b for a in 2..3")
 
 
 class TestReports:

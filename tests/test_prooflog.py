@@ -752,8 +752,9 @@ def _combination(rows: dict, target: dict) -> list | None:
 def _forged_cube_root_log(sys_, log: ProofLog) -> ProofLog:
     """log plus a lincomb step deriving x^2 - N*y, and a quad-solve-nonzero/pair
     step on that row and a row y^2 = mu*x of the log.  N is the product of two
-    20-digit primes, so only factoring finds the cube root of N^2*mu; the pair
-    step cites no nonzero evidence."""
+    20-digit primes, so taking the cube root of N^2*mu means factoring N, which
+    trial division by small primes cannot; the pair step cites no nonzero
+    evidence."""
     n_big = (10**19 + 51) * (10**20 + 39)
     row_steps = [s for s in log.steps if s.conclusion[0] == "row"]
     for s in row_steps:
@@ -780,8 +781,9 @@ def _forged_cube_root_log(sys_, log: ProofLog) -> ProofLog:
 
 
 def test_forged_cube_root_rejected_quickly(tmp_path, corpus_proof):
-    # taking the root factors N, about sqrt(10**19) Pollard-Brent steps; the
-    # replay runs in a child process, so a stall fails the test at its timeout
+    # a checker that took the root would have to factor N, about sqrt(10**19)
+    # steps of a general method; the replay runs in a child process, so a
+    # stall fails the test at its timeout
     _, sys_, verdict, _ = corpus_proof("tadpole:4,1")
     path = tmp_path / "forged.json"
     path.write_text(dump_log(_forged_cube_root_log(sys_, verdict.log), sys_))

@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evograph.radicals import (
+    _MR_EXACT,
+    _SMALL_PRIMES,
     MAX_DIGITS,
     FactoringEffortExceeded,
     Radical,
     RadicalSum,
+    _is_prime,
     fraction_str,
     parse_fraction,
 )
@@ -17,14 +21,38 @@ F = Fraction
 rationals = st.fractions(min_value=-50, max_value=50).filter(lambda q: q != 0)
 positive_rationals = st.fractions(min_value=F(1, 20), max_value=50)
 
-# A drawn rational whose numerator leaves a 100-bit cofactor that
-# Pollard-Brent does not split within BRENT_WORK
+# A drawn rational whose numerator leaves a 100-bit composite cofactor
+# after trial division
 HARD = F(60820717938928044897687358668797, 1216414358778560897953747173376)
+
+
+def _prime_at_most(n: int) -> int:
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+# Products of powers of _SMALL_PRIMES, times at most one prime below
+# _MR_EXACT: the integers that trial division factors
+_smooth = st.lists(
+    st.tuples(st.sampled_from(_SMALL_PRIMES), st.integers(min_value=1, max_value=6)), max_size=4
+).map(lambda pes: math.prod(p**e for p, e in pes))
+_factorable_ints = st.builds(
+    lambda m, p: m * p,
+    _smooth,
+    st.one_of(st.just(1), st.integers(min_value=2, max_value=_MR_EXACT - 1).map(_prime_at_most)),
+)
+factorable = st.builds(
+    lambda sign, a, b: F(sign * a, b), st.sampled_from((1, -1)), _factorable_ints, _factorable_ints
+)
 
 
 def test_root_gives_up_on_a_hard_cofactor():
     with pytest.raises(FactoringEffortExceeded, match="100-bit"):
         Radical.root(HARD, 2)
+    # the first prime above _MR_EXACT, a base the replayer would reject
+    with pytest.raises(FactoringEffortExceeded, match="82-bit"):
+        Radical.root(3317044064679887385962123, 3)
 
 
 def test_cube_root_normal_form():
@@ -89,16 +117,12 @@ def test_parse_round_trip(q):
     assert Radical.parse(str(r)) == r
 
 
-def test_root_factors_a_large_cofactor():
-    # trial division alone never reaches the 22-digit prime factor
-    primes = (41, 1093, 35817547837, 3811832244955903262249)
-    r = Radical.root(6118340569647801337063091456880672769, 2)
-    assert r.coeff == 1 and r.parts == tuple((p, F(1, 2)) for p in primes)
-
-
-def test_root_of_a_large_prime_square():
-    # Pollard-Brent alone needs about 2**30 steps to split this square
-    assert Radical.root((2**61 - 1) ** 2, 2) == Radical.from_rational(2**61 - 1)
+@settings(max_examples=300, deadline=None)
+@given(factorable)
+def test_root_of_a_factorable_rational_writes_only_checked_bases(q):
+    r = Radical.root(q, 3)
+    assert (r ** 3).as_rational() == q
+    assert all(_is_prime(p) for p, _ in r.parts)
 
 
 def test_parse_rejects_negative_base():
@@ -142,7 +166,7 @@ class TestRadicalSum:
                 op(half, other)
 
     @settings(max_examples=100, deadline=None)
-    @given(rationals, rationals)
+    @given(factorable, rationals)
     def test_float_agreement(self, a, b):
         s = RadicalSum.from_radical(Radical.root(abs(a), 3)) + RadicalSum.from_rational(b)
         assert abs(float(s) - (abs(a) ** (1 / 3) + float(b))) < 1e-9 * max(1.0, abs(float(s)))

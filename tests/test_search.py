@@ -286,6 +286,26 @@ class TestSettledStop:
         assert alone.restart_index == winner and alone.stats.restarts == winner + 1
         assert _outcome_key(alone) == _outcome_key(stacked)
 
+    @pytest.mark.parametrize("desc, restarts", [("star:4", 200), ("bull", 10)])
+    def test_starts_are_drawn_block_by_block(self, monkeypatch, desc, restarts):
+        g, cfg = generate_family(desc), SearchConfig(restarts=restarts, seed=0)
+        stacked = find_homomorphism(g, cfg)
+        draws, default_rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, low, high, size):
+                draws.append(size[0])
+                return self.rng.uniform(low, high, size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        monkeypatch.setattr(search, "BLOCK_BYTES", 4 * 8 * g.n**4)  # four restarts per block
+        blocked = find_homomorphism(g, cfg)
+        assert _outcome_key(blocked) == _outcome_key(stacked)
+        assert max(draws) <= 4 and draws[-1] == min(4, restarts - 4 * (len(draws) - 1))
+
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("desc", ["cycle:4", "star:4", "complete_bipartite:3,4"])
     def test_matches_every_restart_run_alone(self, desc, seed):
