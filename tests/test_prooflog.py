@@ -452,14 +452,27 @@ def test_corpus_proof_logs_byte_identical(desc, corpus_log):
     assert hashlib.sha256(indented.encode()).hexdigest() == LOG_SHA256[desc]
 
 
-# sha256 of dump_log's text for logs the pins above do not reach: a deep
-# null-only tree (1 760 of 4 796 derived steps kept, depth 8) and a
-# found-structure log that ends at its witness leaf (345 of 541 kept).  The
-# exact kernel's arithmetic and the engine's row store must not change a
-# single step of them.
+# sha256 of dump_log's text for the logs the pins above do not reach: a deep
+# null-only tree (1 760 of 4 796 derived steps kept, depth 8), a
+# found-structure log that ends at its witness leaf (345 of 541 kept), and
+# every other instance of the certify benchmark workloads, null-only and
+# unknown alike.  The exact kernel's arithmetic and the engine's row store
+# must not change a single step of them.
 DEEP_LOG_SHA256 = {
     "path:9": "b821eade91b6bbdc31c8782ee65fe75c4a139b3f80b75b51175fcd286af2fa23",
     "cycle:5": "74992cb3edd41b98832bf49ba719d2f96fee91d8a022d30b9b5b8ccdf2a84c93",
+    "cmn:4,4": "46a2b1d50ff2bff0e2cc7af3440eeb357739eb6354a3c3d0043784994f76c4c5",
+    "cmn:5,5": "4a935acd1165d81d988d91ee3814bbea1275f531dbdd22d18f32d1d0332419ab",
+    "cmn:6,6": "f2a2525b576f7ba34e5c8046858d59c01a6ed0cde4667f51d21a25a49c397ade",
+    "caterpillar:1,2,2,2,2,2": "fe88f1d1505234e089fea9e55c60e2d8a344a2c1d64dfe2b81128a6b576c3d9f",
+    "tadpole:4,5": "708a9b9cb6501f18a4108a8fa142cd4ddf5dccbc9ba6bc5b4f7a78110993eeac",
+    "tadpole:4,7": "db8cc84bde722c4bf414747d74a5cc5a9d2533efcef24d389fcadc6bb77285c3",
+    "tadpole:4,9": "c3faca622be89090cda5aac48f3ebf2892a6b677228877b820c0d9c042e43f78",
+    "tadpole:6,1": "5fb85e3ddfee808b6778908b5dc5083f55b3859b837b6845e002f7b412df0c04",
+    "path:5": "8a6cd5de9c3557273801a9de8d213f8a73fd292f70333ddaa029a73e43e7eb24",
+    "path:7": "17b41bdfa7934b7faddc96d1bf2fae8787bf4ed1f23837db19d393b57fb512d9",
+    "path:11": "4fd7ae8518d31d2e4267aa42c3e3b7e95b7c8841f1b9f1dc696ff17107ede561",
+    "star:4": "281fed7abbd0e2444f4d543118395596a66cd6c2ad7f52abd789120231c66ac4",
 }
 
 
@@ -467,6 +480,43 @@ DEEP_LOG_SHA256 = {
 def test_deep_and_open_proof_logs_byte_identical(desc, corpus_log):
     _, text = corpus_log(desc)
     assert hashlib.sha256(text.encode()).hexdigest() == DEEP_LOG_SHA256[desc]
+
+
+# Verdict.derived of every certify benchmark instance: the steps the engine
+# derives, kept or trimmed.  The logs above pin what is kept; this pins the
+# work done to find it, so a change to the engine's bookkeeping that derives
+# one step more or less shows here.
+DERIVED_STEPS = {
+    "cmn:2,2": 140,
+    "cmn:2,3": 203,
+    "cmn:3,2": 217,
+    "cmn:3,3": 297,
+    "cmn:4,4": 562,
+    "cmn:5,5": 971,
+    "cmn:6,6": 1560,
+    "caterpillar:1,2,2": 594,
+    "caterpillar:1,2,2,2": 1404,
+    "caterpillar:1,2,2,2,2,2": 4737,
+    "bull": 505,
+    "tadpole:4,1": 394,
+    "tadpole:4,3": 1587,
+    "tadpole:4,5": 4175,
+    "tadpole:4,7": 6166,
+    "tadpole:4,9": 10445,
+    "tadpole:6,1": 4094,
+    "path:5": 590,
+    "path:7": 1980,
+    "path:9": 4796,
+    "path:11": 8520,
+    "cycle:5": 541,
+    "complete_bipartite:2,3": 3474,
+    "star:4": 1411,
+}
+
+
+@pytest.mark.parametrize("desc", list(DERIVED_STEPS))
+def test_certify_instances_derive_pinned_step_counts(desc, corpus_proof):
+    assert corpus_proof(desc).verdict.derived == DERIVED_STEPS[desc]
 
 
 # sha256 of dump_log's text for the logs that hold the multi-row scans'
