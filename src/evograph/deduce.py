@@ -43,6 +43,14 @@ holds only the kept steps and those of the open path.  The "!= 0" child
 of a split, opened last, takes its parent's state over instead of
 copying it.
 
+A branch indexes its rows by variable only: the rows that hold a new
+pivot are those that hold its first variable and the pivot itself.  A
+row's variable set is computed once as it enters the pipeline and again
+only where a substitution or reduction changes the row; a row that no
+fact and no other pivot touches passes through without a copy.  The
+radical-row scan's evaluations are cached once per proof (see
+``_scan_radical_rows``).
+
 Soundness is the contract: a "null-only" verdict is issued only when
 every branch of an exhaustive split closes.  Budget exhaustion and
 unresolved branches surface as "unknown", never as a wrong verdict.
@@ -117,6 +125,10 @@ class _Shared:
         # apply_leaf_rules and read by every branch
         self.mutex_pairs: dict[tuple[int, int], Ref] = {}
         self.mutex_by_var: dict[int, list[tuple[int, int]]] = {}
+        # _eval_partial's result per (row ref, value step refs of the row's
+        # valued variables in order); both kinds of ref name immutable facts,
+        # so an entry holds in every branch
+        self.evals: dict[tuple[Ref, ...], tuple[poly.Poly, RadicalSum]] = {}
 
 
 class DeductionState:
@@ -130,8 +142,8 @@ class DeductionState:
         # computed once by _add_row
         self.row_info: dict[Ref, tuple[poly.Mono, tuple[int, ...]]] = {}
         self.basis: dict[poly.Mono, Ref] = {}
-        # occurrence indexes over self.rows, kept by _add_row and _remove_row
-        self.mono_rows: dict[poly.Mono, set[Ref]] = {}
+        self.linear_leads = 0  # keys of basis that are linear monomials
+        # variable -> the rows that hold it, kept by _add_row and _remove_row
         self.var_rows: dict[int, set[Ref]] = {}
         self.zeros: dict[int, Ref] = {}
         self.values: dict[int, tuple[Radical, Ref]] = {}
@@ -151,7 +163,7 @@ class DeductionState:
         c.rows = dict(self.rows)
         c.row_info = dict(self.row_info)
         c.basis = dict(self.basis)
-        c.mono_rows = {m: set(refs) for m, refs in self.mono_rows.items()}
+        c.linear_leads = self.linear_leads
         c.var_rows = {v: set(refs) for v, refs in self.var_rows.items()}
         c.zeros = dict(self.zeros)
         c.values = dict(self.values)
@@ -223,23 +235,32 @@ class DeductionState:
     # -- row pipeline -----------------------------------------------------------
 
     def enqueue(self, ref: Ref, p: poly.Poly):
-        self.pending.append((ref, p))
+        self.pending.append((ref, p, poly.poly_vars(p)))
 
-    def _substitute_facts(self, ref: Ref, p: poly.Poly):
+    def _requeue(self, ref: Ref):
+        """Take a stored row out and queue it again, with its variables."""
+        pvars = self.row_info[ref][1]
+        self.pending.append((ref, self._remove_row(ref), pvars))
+
+    def _substitute_facts(self, ref: Ref, p: poly.Poly, pvars):
         """One logged substitution per determined variable occurring in p.
 
         Variables go in ascending order.  A constant replacement only
         removes variables, so one sorted pass over p's determined variables
         suffices; a variable cancelled by an earlier substitution is skipped.
         A row that vanishes, each monomial holding a zero variable, comes
-        back empty with nothing logged.
+        back empty with nothing logged.  ``pvars`` holds p's variables; the
+        result's come back with it, computed afresh only if p changed.
         """
         zeros, values = self.zeros, self.values
+        if zeros.keys().isdisjoint(pvars) and values.keys().isdisjoint(pvars):
+            return ref, p, pvars
         if all(any(v in zeros for v in m) for m in p):
-            return ref, {}
+            return ref, {}, ()
         determined = [
-            v for v in poly.poly_vars(p) if v in zeros or (v in values and values[v][0].is_rational)
+            v for v in pvars if v in zeros or (v in values and values[v][0].is_rational)
         ]
+        np = p
         for v in sorted(determined):
             if v in zeros:
                 repl, dref = {}, zeros[v]
@@ -247,9 +268,9 @@ class DeductionState:
                 rad, dref = values[v]
                 c = rad.as_rational()
                 repl = {poly.CONST: c} if c else {}
-            if any(v in m for m in p):
-                ref, p = self._subst(ref, p, v, dref, repl)
-        return ref, p
+            if any(v in m for m in np):
+                ref, np = self._subst(ref, np, v, dref, repl)
+        return ref, np, (pvars if np is p else poly.poly_vars(np))
 
     def _subst(self, ref: Ref, p: poly.Poly, v: int, dref: Ref, repl: poly.Poly):
         """Replace v by repl in p, justified by the fact or affine row dref."""
@@ -266,9 +287,11 @@ class DeductionState:
 
     def _reduce(self, ref: Ref, p: poly.Poly):
         """Full reduction against the basis; one lincomb step if it changed."""
+        basis = self.basis
+        if basis.keys().isdisjoint(p):
+            return ref, p  # no row leads a monomial of p
         parts = [(ref, _ONE)]
         cur = dict(p)
-        basis = self.basis
         while True:
             # the next pivot: cur's first monomial, in mono_key order, led by another row
             hits = [m for m in cur if basis.get(m, ref) != ref]
@@ -281,7 +304,7 @@ class DeductionState:
             poly.add_scaled_to(cur, row, lam)
             parts.append((hit, lam))
         if len(parts) == 1:
-            return ref, cur
+            return ref, p
         if not cur:
             return None, cur
         nref = self.emit(
@@ -289,70 +312,68 @@ class DeductionState:
         )
         return nref, cur
 
-    def _add_row(self, ref: Ref, p: poly.Poly, lead: poly.Mono):
-        pvars = tuple(sorted(poly.poly_vars(p)))
+    def _add_row(self, ref: Ref, p: poly.Poly, lead: poly.Mono, pvars):
+        pvars = tuple(sorted(pvars))
         self.rows[ref] = p
         self.row_info[ref] = (lead, pvars)
+        if len(lead) == 1 and lead not in self.basis:
+            self.linear_leads += 1
         self.basis[lead] = ref
-        _index(self.mono_rows, p, ref)
         _index(self.var_rows, pvars, ref)
 
-    def _remove_row(self, ref: Ref):
-        p = self.rows.pop(ref, None)
-        if p is None:
-            return None
+    def _remove_row(self, ref: Ref) -> poly.Poly:
+        p = self.rows.pop(ref)
         lead, pvars = self.row_info.pop(ref)
         if self.basis.get(lead) == ref:
             del self.basis[lead]
-        _unindex(self.mono_rows, p, ref)
+            if len(lead) == 1:
+                self.linear_leads -= 1
         _unindex(self.var_rows, pvars, ref)
         return p
 
     def process_pending(self) -> bool:
         worked = False
         while self.pending:
-            ref, p = self.pending.popleft()
             worked = True
-            self._pipeline(ref, p)
+            self._pipeline(*self.pending.popleft())
         return worked
 
-    def _pipeline(self, ref: Ref, p: poly.Poly):
-        ref, p = self._substitute_facts(ref, p)
-        # quadratic occurrences of affine-determined variables
-        while True:
-            quad_vars = sorted(
-                {
-                    v
-                    for m in p
-                    if len(m) == 2
-                    for v in m
-                    if (v,) in self.basis
-                }
-            )
+    def _pipeline(self, ref: Ref, p: poly.Poly, pvars):
+        """Substitute facts, eliminate affine-determined variables and
+        reduce; then apply the shape rules and store the row.  ``pvars``,
+        p's variables, is carried along and computed again only where p
+        changes."""
+        ref, p, pvars = self._substitute_facts(ref, p, pvars)
+        # quadratic occurrences of affine-determined variables; none unless
+        # some row leads with a linear monomial
+        basis = self.basis
+        while self.linear_leads:
+            quad_vars = sorted({v for m in p if len(m) == 2 for v in m if (v,) in basis})
             if not quad_vars:
                 break
             v = quad_vars[0]
-            dref = self.basis[(v,)]
+            dref = basis[(v,)]
             dpoly = self.rows[dref]
             c = dpoly[(v,)]
             repl = {m: poly.neg_quotient(cc, c) for m, cc in dpoly.items() if m != (v,)}
             ref, p = self._subst(ref, p, v, dref, repl)
-            ref, p = self._substitute_facts(ref, p)
-        res = self._reduce(ref, p)
-        if res[0] is None:
+            ref, p, pvars = self._substitute_facts(ref, p, poly.poly_vars(p))
+        ref, q = self._reduce(ref, p)
+        if ref is None or not q:
             return
-        ref, p = res
-        if not p:
-            return
+        if q is not p:
+            p, pvars = q, poly.poly_vars(q)
         if set(p) == {poly.CONST}:
             self.contradict("value-conflict", [ref], {"mode": "eval"})
-        self._shape_rules(ref, p)
-        self._insert(ref, p)
+        self._shape_rules(ref, p, pvars)
+        self._insert(ref, p, pvars)
 
-    def _insert(self, ref: Ref, p: poly.Poly):
+    def _insert(self, ref: Ref, p: poly.Poly, pvars):
         lead = poly.leading_mono(p)
-        # back-substitute the new pivot out of existing rows
-        holders = sorted(self.mono_rows.get(lead, ()))
+        # back-substitute the new pivot out of the rows that hold it; a row
+        # holding lead holds lead's first variable (lead is never the constant)
+        rows = self.rows
+        holders = sorted(r for r in self.var_rows.get(lead[0], ()) if lead in rows[r])
         for r in holders:
             q = self._remove_row(r)
             lam = poly.neg_quotient(q[lead], p[lead])
@@ -367,23 +388,20 @@ class DeductionState:
             )
             if set(nq) == {poly.CONST}:
                 self.contradict("value-conflict", [nref], {"mode": "eval"})
-            self._add_row(nref, nq, poly.leading_mono(nq))
-            self._shape_rules(nref, nq)
-        self._add_row(ref, p, lead)
+            nvars = poly.poly_vars(nq)
+            self._add_row(nref, nq, poly.leading_mono(nq), nvars)
+            self._shape_rules(nref, nq, nvars)
+        self._add_row(ref, p, lead, pvars)
         if len(lead) == 1:
             # new affine definition: rewrite quadratic occurrences elsewhere
             v = lead[0]
             for r in sorted(self.var_rows[v]):
-                if r == ref:
-                    continue
-                q = self.rows[r]
-                if any(len(m) == 2 and v in m for m in q):
-                    self._remove_row(r)
-                    self.enqueue(r, q)
+                if r != ref and any(len(m) == 2 and v in m for m in rows[r]):
+                    self._requeue(r)
 
     # -- single-row shape rules ---------------------------------------------------
 
-    def _shape_rules(self, ref: Ref, p: poly.Poly):
+    def _shape_rules(self, ref: Ref, p: poly.Poly, pvars):
         monos = set(p)
         if len(p) == 1:
             m = next(iter(monos))
@@ -406,7 +424,6 @@ class DeductionState:
                     self.contradict("negative-square", [ref])
             return
         # univariate quadratic with negative discriminant
-        pvars = poly.poly_vars(p)
         if len(pvars) == 1 and poly.CONST in monos:
             v = next(iter(pvars))
             a = p.get((v, v), Fraction(0))
@@ -552,27 +569,41 @@ class DeductionState:
         Only a row with a valued variable or with at most one variable can
         match.  Those rows are visited in ref order; a value found on the
         way brings in the later rows that hold its variable.
+
+        A row with two or more unvalued variables is skipped before it is
+        evaluated.  An evaluation is cached in ``_Shared.evals`` under the
+        row's ref and the refs of its valued variables' value steps, in
+        variable order.  A ref names one immutable row: a row that changes
+        gets a new step, and so a new ref.  A value step names one variable
+        and its one value.  So the key fixes both the polynomial and the
+        values put into it, and the entry holds in every branch.
         """
         todo = {ref for ref, (_, pvars) in self.row_info.items() if len(pvars) <= 1}
         for v in self.values:
             todo.update(self.var_rows.get(v, ()))
         heap = sorted(todo)
+        values, evals = self.values, self.shared.evals
         while heap:
             ref = heappop(heap)
-            p = self.rows[ref]
             pvars = self.row_info[ref][1]
-            unknown = [v for v in pvars if v not in self.values]
-            valued = [v for v in pvars if v in self.values]
-            vrefs = [self.values[v][1] for v in valued]
-            rest, const = _eval_partial(p, {v: self.values[v][0] for v in valued})
+            unknown = [v for v in pvars if v not in values]
+            if len(unknown) > 1:
+                continue
+            valued = [v for v in pvars if v in values]
+            vrefs = [values[v][1] for v in valued]
+            key = (ref, *vrefs)
+            hit = evals.get(key)
+            if hit is None:
+                hit = evals[key] = _eval_partial(
+                    self.rows[ref], {v: values[v][0] for v in valued}
+                )
+            rest, const = hit
             if not unknown:
                 if rest:
                     continue
                 if not const.is_zero:
                     self.contradict("value-conflict", [ref] + vrefs, {"mode": "eval"})
                 self._remove_row(ref)
-                continue
-            if len(unknown) != 1:
                 continue
             x = unknown[0]
             if set(rest) == {(x,)}:
@@ -605,9 +636,7 @@ class DeductionState:
         dirty, self.dirty = self.dirty, set()
         affected = sorted(set().union(*(self.var_rows.get(v, ()) for v in dirty)))
         for r in affected:
-            p = self._remove_row(r)
-            if p is not None:
-                self.enqueue(r, p)
+            self._requeue(r)
         return bool(affected)
 
 

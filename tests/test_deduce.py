@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import evograph
-from evograph import poly
+from evograph import deduce, poly
 from evograph.cli import (
     ISO_INSTANCES,
     NO_FALSE_CERT_INSTANCES,
@@ -313,16 +313,14 @@ def _benchmark_certify_instances():
 
 
 def _assert_indexes_match_rows(state):
-    mono_rows, var_rows, row_info = {}, {}, {}
+    var_rows, row_info = {}, {}
     for ref, p in state.rows.items():
-        for m in p:
-            mono_rows.setdefault(m, set()).add(ref)
         for v in poly.poly_vars(p):
             var_rows.setdefault(v, set()).add(ref)
         row_info[ref] = (poly.leading_mono(p), tuple(sorted(poly.poly_vars(p))))
-    assert state.mono_rows == mono_rows
     assert state.var_rows == var_rows
     assert state.row_info == row_info
+    assert state.linear_leads == sum(len(m) == 1 for m in state.basis)
 
 
 def _saturate_or_close(state) -> bool:
@@ -366,7 +364,7 @@ def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
     cube_root = Radical.root(2, 3)
     state.values[y] = (cube_root, ("c", 0))
     for ref, p in ((("c", 1), {(x,): F(1), (y,): F(-1)}), (("c", 2), {(z,): F(1), (x,): F(-1)})):
-        state._add_row(ref, p, poly.leading_mono(p))
+        state._add_row(ref, p, poly.leading_mono(p), poly.poly_vars(p))
     state._scan_radical_rows()
     assert state.values[x][0] == cube_root
     assert state.values[z][0] == cube_root
@@ -374,6 +372,29 @@ def test_radical_scan_brings_in_later_rows_of_a_variable_it_values():
         ("linear-solve", (("c", 1), ("c", 0))),
         ("linear-solve", (("c", 2), ("s", 0))),
     ]
+
+
+@pytest.mark.parametrize("desc", ["complete_bipartite:2,3", "star:4"])
+def test_radical_scan_evaluates_each_key_once(desc, monkeypatch):
+    # every branch's scans share one cache: a (row, value steps) key is
+    # evaluated once, however many scans and branches read it
+    shared, results = [], []
+
+    class Recorded(_Shared):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shared.append(self)
+
+    def eval_partial(p, vals, inner=deduce._eval_partial):
+        results.append(inner(p, vals))
+        return results[-1]
+
+    monkeypatch.setattr(deduce, "_Shared", Recorded)
+    monkeypatch.setattr(deduce, "_eval_partial", eval_partial)
+    prove_null_only(generate_family(desc))
+    (sh,) = shared
+    assert results and len(results) == len(sh.evals)
+    assert {id(r) for r in results} == {id(r) for r in sh.evals.values()}
 
 
 def test_square_cycle_past_the_factoring_bound_does_not_fire():
@@ -396,7 +417,7 @@ def test_square_cycle_past_the_factoring_bound_does_not_fire():
         "    state.nonzero[x] = ('c', 0)\n"
         "    for ref, p in ((('c', 1), {(x, x): Fraction(1), (y,): Fraction(-1)}),\n"
         "                   (('c', 2), {(y, y): Fraction(1), (x,): Fraction(-mu)})):\n"
-        "        state._add_row(ref, p, poly.leading_mono(p))\n"
+        "        state._add_row(ref, p, poly.leading_mono(p), poly.poly_vars(p))\n"
         "    start = time.perf_counter()\n"
         "    saturate(state)\n"
         "    steps = [(s.rule, s.payload.get('mode')) for s in state.shared.steps]\n"
