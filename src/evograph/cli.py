@@ -40,6 +40,7 @@ from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    _family,
     adjacency_matrix,
     classify_regularity,
     format_edge_list,
@@ -399,11 +400,16 @@ class InvalidRange(ValueError):
 def parse_sweep(spec: str) -> Iterator[str]:
     """Expand e.g. ``tadpole:4,m for m in 1,3,5`` or ``cmn:a,b for a,b in 2..4``.
 
-    The spec is checked at once; the instances are made one at a time as
-    they are read, the first variable varying slowest.
+    The spec is checked at once, the family name and its argument count
+    included; the instances are made one at a time as they are read, the
+    first variable varying slowest.
     """
     if " for " not in spec:
-        return iter([spec.strip()] if spec.strip() else [])
+        spec = spec.strip()
+        if not spec:
+            return iter([])
+        _sweep_template(spec, [])
+        return iter([spec])
     template, _, rangepart = spec.partition(" for ")
     template = template.strip()
     m = rangepart.strip().partition(" in ")
@@ -425,6 +431,23 @@ def parse_sweep(spec: str) -> Iterator[str]:
             seq = [int(tok) for tok in values.split(",") if tok.strip()]
         except ValueError as exc:
             raise InvalidRange(f"bad value list {values!r}") from exc
+    name, toks = _sweep_template(template, varnames)
+
+    def instance(combo) -> str:
+        env = dict(zip(varnames, combo))
+        args = [str(env.get(tok, tok)) for tok in toks]
+        return name + (":" + ",".join(args) if args else "")
+
+    return map(instance, itertools.product(seq, repeat=len(varnames)))
+
+
+def _sweep_template(template: str, varnames: list[str]) -> tuple[str, list[str]]:
+    """The family name and argument tokens of a sweep template.
+
+    Each token must be an integer or a sweep variable, and the family must
+    exist and take that many arguments; ``generate_family`` words the
+    family errors.
+    """
     name, _, argstr = template.partition(":")
     toks = [tok.strip() for tok in argstr.split(",")] if argstr else []
     for tok in toks:
@@ -433,13 +456,8 @@ def parse_sweep(spec: str) -> Iterator[str]:
                 int(tok)
             except ValueError as exc:
                 raise InvalidRange(f"{tok!r} in {template!r} is neither an integer nor a sweep variable") from exc
-
-    def instance(combo) -> str:
-        env = dict(zip(varnames, combo))
-        args = [str(env.get(tok, tok)) for tok in toks]
-        return name + (":" + ",".join(args) if args else "")
-
-    return map(instance, itertools.product(seq, repeat=len(varnames)))
+    _family(name, toks)
+    return name, toks
 
 
 def _sweep_row(inst: str, budget: Budget, cfg: SearchConfig, run_numeric: bool) -> dict:

@@ -9,6 +9,7 @@ share between threads or workers.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -329,6 +330,17 @@ _FAMILIES = {
 }
 
 
+def _family(name: str, args: Sequence) -> Callable[..., Graph]:
+    """The builder of the family ``name``, checked to take ``len(args)`` arguments."""
+    name = name.strip().lower()
+    if name not in _FAMILIES:
+        raise InvalidParameter(f"unknown family {name!r}")
+    fn, lo, hi = _FAMILIES[name]
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        raise InvalidParameter(f"family {name!r} takes {lo}{'' if hi == lo else '+'} arguments, got {len(args)}")
+    return fn
+
+
 def generate_family(descriptor: str) -> Graph:
     """Build a graph from a family descriptor string.
 
@@ -336,18 +348,12 @@ def generate_family(descriptor: str) -> Graph:
     ``"cmn:2,3"`` (the diameter-3 tree, a two-vertex-spine caterpillar).
     """
     name, _, argstr = descriptor.strip().partition(":")
-    name = name.strip().lower()
-    if name not in _FAMILIES:
-        raise InvalidParameter(f"unknown family {name!r}")
-    fn, lo, hi = _FAMILIES[name]
-    args: list[int] = []
-    if argstr.strip():
-        try:
-            args = [int(tok) for tok in argstr.split(",")]
-        except ValueError as exc:
-            raise InvalidParameter(f"bad family arguments {argstr!r}") from exc
-    if len(args) < lo or (hi is not None and len(args) > hi):
-        raise InvalidParameter(f"family {name!r} takes {lo}{'' if hi == lo else '+'} arguments, got {len(args)}")
+    toks = argstr.split(",") if argstr.strip() else []
+    fn = _family(name, toks)
+    try:
+        args = [int(tok) for tok in toks]
+    except ValueError as exc:
+        raise InvalidParameter(f"bad family arguments {argstr!r}") from exc
     return fn(*args)
 
 

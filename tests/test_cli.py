@@ -20,7 +20,13 @@ from evograph.cli import (
     parse_sweep,
 )
 from evograph.deduce import Verdict
-from evograph.graphs import classify_regularity, generate_family, is_singular, parse_edge_list
+from evograph.graphs import (
+    GraphError,
+    classify_regularity,
+    generate_family,
+    is_singular,
+    parse_edge_list,
+)
 from evograph.homsystem import derive_constraints
 from evograph.prooflog import NULL_ONLY, ProofLog
 
@@ -88,6 +94,24 @@ class TestSweepParsing:
             parse_sweep("tadpole:4,m for m")
         with pytest.raises(InvalidRange, match="'b'"):
             parse_sweep("cmn:a,b for a in 2..3")
+
+
+@pytest.mark.parametrize(
+    "spec, first",
+    [
+        ("foo:a for a in 1..2", "foo:1"),
+        ("tadpole:a for a in 3..4", "tadpole:3"),
+        ("caterpillar: for a in 1..2", "caterpillar:"),
+        ("foo", "foo"),
+    ],
+)
+def test_sweep_rejects_a_bad_family_before_any_output(spec, first, capsys):
+    # the error generate_family gives for the first instance, before the CSV header
+    with pytest.raises(GraphError) as exc:
+        generate_family(first)
+    assert main(["sweep", spec, "--fast"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {exc.value}\n"
 
 
 class TestReports:
