@@ -20,6 +20,8 @@ until a fixpoint.  Case splitting (x = 0 versus x != 0) closes a branch
 on an outright contradiction or when some column is entirely zero, in
 which case connectivity forces the null map.  Every derivation is
 logged; the replayer in prooflog.py re-validates logs independently.
+A ``substitute`` step concludes ``derived``: the replayer computes its
+row, and the engine keeps the row only in its branch store.
 
 The engine derives nothing that no closure or verdict can read:
 
@@ -280,7 +282,7 @@ class DeductionState:
         nref = self.emit(
             "substitute",
             [ref, dref],
-            ("row", np),
+            ("derived",),
             {"op": "subst", "src": ref, "var": v, "def": dref},
         )
         return nref, np
@@ -308,7 +310,7 @@ class DeductionState:
         if not cur:
             return None, cur
         nref = self.emit(
-            "substitute", [r for r, _ in parts], ("row", cur), {"op": "lincomb", "parts": parts}
+            "substitute", [r for r, _ in parts], ("derived",), {"op": "lincomb", "parts": parts}
         )
         return nref, cur
 
@@ -383,7 +385,7 @@ class DeductionState:
             nref = self.emit(
                 "substitute",
                 [r, ref],
-                ("row", nq),
+                ("derived",),
                 {"op": "lincomb", "parts": [(r, _ONE), (ref, lam)]},
             )
             if set(nq) == {poly.CONST}:

@@ -16,11 +16,12 @@ and a pair not in the table is rejected.  The three premise-free leaf
 rules are checked against tables of admissible conclusions computed once
 from the graph.  A step's premises must be exactly the refs its check
 uses (as a set: a ref may repeat).  A ``substitute`` step's row is fully
-determined by its premises and payload, so it need not be stated: its
-conclusion may be ``derived``, and the replayer then takes the row its
-check computes as the step's conclusion.  A stated row is compared with
-that row.  A stated cube root is checked by cubing it and testing its
-bases for primality: the replayer takes no roots and factors nothing.
+determined by its premises and payload, so it is never stated: its
+conclusion is ``derived``, and the replayer takes the row its check
+computes as the step's conclusion.  A log that states such a row, as
+the logs of earlier versions do, is rejected at its first ``substitute``
+step.  A stated cube root is checked by cubing it and testing its bases
+for primality: the replayer takes no roots and factors nothing.
 The replayer finally checks that the case-split tree is exhaustive (each
 split has both a "= 0" and a "!= 0" child) and that the claimed verdict
 follows.
@@ -39,10 +40,8 @@ read) pair for each field not stored as it is held: variables by name,
 rows as terms, exact scalars and coefficients as text, refs as lists.
 Payload keys of the same name use the same pairs.  ``dump_log``,
 ``load_log`` and ``dump_system`` (the document ``evograph derive``
-prints) all go through that one declaration.  ``dump_log`` writes every
-conclusion ``CHECKS`` lets the replayer derive as ``{"kind": "derived"}``
-and states all others; logs whose ``substitute`` rows are stated, as
-earlier versions wrote them, still load and replay.
+prints) all go through that one declaration, so a log reloads equal to
+the log the engine returned.
 
 ``dump_log`` writes a log as one line of compact JSON.  ``load_log``
 reads any JSON encoding of the same document, so the indented logs that
@@ -201,10 +200,7 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
     write, by_kind = _codec(sys, 0)
     var, sign = write["var"], write["sign"]
 
-    def conclusion(s: Step) -> dict:
-        if _table_key(s) in DERIVED:
-            return {"kind": "derived"}
-        c = s.conclusion
+    def conclusion(c: tuple) -> dict:
         out = {"kind": c[0]}
         for (f, w), x in zip(by_kind[c[0]], c[1:]):
             out[f] = w(x)
@@ -220,7 +216,7 @@ def dump_log(log: ProofLog, sys: HomSystem) -> str:
                 "rule": s.rule,
                 "branch": [[var(v), sign(nz)] for v, nz in s.branch],
                 "premises": [list(r) for r in s.premises],
-                "conclusion": conclusion(s),
+                "conclusion": conclusion(s.conclusion),
                 "payload": {k: write[k](x) if k in write else x for k, x in s.payload.items()},
             }
             for s in log.steps
@@ -473,16 +469,8 @@ class _Replayer:
                 rest[m] = c
         return rest, const
 
-    def _row_concluded(self, step: Step, row: poly.Poly, what: str) -> poly.Poly | None:
-        """The row a derived step concludes; a stated row must equal it."""
-        if step.conclusion[0] == "derived":
-            return row
-        if row != step.conclusion[1]:
-            self.fail(step, f"{what} does not reproduce the row")
-        return None
-
-    # the checks CHECKS names: each returns the row a derived step
-    # concludes, None when the step states its conclusion -----------------------
+    # the checks CHECKS names: a substitute check returns the row its step
+    # concludes, every other check None -------------------------------------------
 
     def _axiom(self, step: Step):
         kind, arg = step.conclusion[0], step.conclusion[1]
@@ -497,13 +485,13 @@ class _Replayer:
         acc: poly.Poly = {}
         for ref, lam in step.payload["parts"]:
             poly.add_scaled_to(acc, self.row_of(ref, step), lam)
-        return self._row_concluded(step, acc, "linear combination")
+        return acc
 
     def _subst(self, step: Step):
         src = self.row_of(step.payload["src"], step)
         v = step.payload["var"]
         repl = self._replacement(step.payload["def"], v, step)
-        return self._row_concluded(step, poly.substitute_var(src, v, repl), "substitution")
+        return poly.substitute_var(src, v, repl)
 
     def _square_sum_zero(self, step: Step):
         v = step.conclusion[1]
@@ -668,13 +656,13 @@ class _Replayer:
 
 # Everything the replayer accepts, and nothing else: (rule, mode) ->
 # (conclusion kinds the step may state, check).  One entry per pair the
-# engine emits.  "derived" marks the pairs whose check computes the row.
+# engine emits.  A "derived" step's check computes its row.
 CHECKS = {
     ("leaf-mutex", None): ({"mutex"}, _Replayer._axiom),
     ("leaf-twin-zero", None): ({"zero"}, _Replayer._axiom),
     ("leaf-twin-cross", None): ({"zero", "row"}, _Replayer._axiom),
-    ("substitute", "lincomb"): ({"row", "derived"}, _Replayer._lincomb),
-    ("substitute", "subst"): ({"row", "derived"}, _Replayer._subst),
+    ("substitute", "lincomb"): ({"derived"}, _Replayer._lincomb),
+    ("substitute", "subst"): ({"derived"}, _Replayer._subst),
     ("square-sum-zero", None): ({"zero"}, _Replayer._square_sum_zero),
     ("single-monomial-zero", None): ({"zero"}, _Replayer._single_monomial_zero),
     ("mutex-elim", "nonzero"): ({"zero"}, _Replayer._mutex_nonzero),
@@ -691,8 +679,6 @@ CHECKS = {
     ("branch-close", None): ({"closed"}, _Replayer._branch_close),
 }
 RULES = frozenset(rule for rule, _ in CHECKS)
-# The pairs whose conclusion the replayer computes: dump_log writes them derived.
-DERIVED = frozenset(key for key, (kinds, _) in CHECKS.items() if "derived" in kinds)
 
 
 def _is_signed_square_sum(p: poly.Poly, strict: bool) -> bool:

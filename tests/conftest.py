@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
-from evograph import deduce, poly
+from evograph import deduce, poly, prooflog
 from evograph.deduce import Budget, Verdict, prove_null_only
 from evograph.graphs import Graph, build_graph, generate_family
 from evograph.homsystem import Constraint, HomSystem, derive_constraints
@@ -130,3 +130,22 @@ def untrimmed_proof():
     switched off, so its log holds every step derived; computed once a
     session for each budget."""
     return _untrimmed_proof
+
+
+def _replayed_rows(system: HomSystem, log) -> dict[int, tuple]:
+    """The row each ``substitute`` step of log concludes, as the replayer
+    derives it: step id -> (branch, row).  The log must replay."""
+    replayer = prooflog._Replayer(system, log)
+    replayer.run()
+    return {
+        sid: (step.branch, step.conclusion[1])
+        for sid, step in replayer.steps.items()
+        if isinstance(step, prooflog._Derived)
+    }
+
+
+@pytest.fixture(scope="session")
+def replayed_rows():
+    """The rows the replayer derives for a log's ``substitute`` steps, which
+    the log itself does not state."""
+    return _replayed_rows

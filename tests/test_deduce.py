@@ -111,7 +111,7 @@ class TestCrossRules:
 
 
 class TestSaturate:
-    def test_reaches_the_reduced_square_relations(self):
+    def test_reaches_the_reduced_square_relations(self, replayed_rows):
         # on the (2,2) diameter-3 tree the spine squares reduce to
         # 3*t11^2 = t22 and 3*t22^2 = t11 along the way
         g = caterpillar(2, 2)
@@ -119,7 +119,7 @@ class TestSaturate:
         sys = derive_constraints(g)
         v = sys.var
         want = {(v(1, 1), v(1, 1)): F(1), (v(2, 2),): F(-1, 3)}
-        rows = [s.conclusion[1] for s in verdict.log.steps if s.conclusion[0] == "row"]
+        rows = [p for _, p in replayed_rows(sys, verdict.log).values()]
         assert any(p == want or p == {m: c * 3 for m, c in want.items()} for p in rows)
 
     def test_terminates_on_larger_graphs(self):
@@ -447,9 +447,34 @@ CORPUS_AND_BENCHMARK = list(dict.fromkeys(CORPUS + _benchmark_certify_instances(
 
 
 @pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
-def test_no_step_concludes_an_empty_row(desc, untrimmed_proof):
-    steps = untrimmed_proof(desc).log.steps
-    assert not [s.sid for s in steps if s.conclusion == ("row", {})]
+def test_no_step_concludes_an_empty_row(desc, untrimmed_proof, replayed_rows):
+    verdict = untrimmed_proof(desc)
+    rows = replayed_rows(verdict.system, verdict.log)
+    assert rows and not [sid for sid, (_, p) in rows.items() if not p]
+
+
+@pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
+def test_engine_stores_the_rows_the_replayer_derives(desc, replayed_rows, monkeypatch):
+    """Every row the engine stores is the row its step concludes: a
+    constraint's, a stated leaf-twin-cross row, or the row the replayer
+    derives for a ``substitute`` step from the untrimmed log."""
+    stored = []
+    add_row = DeductionState._add_row
+
+    def recording(self, ref, p, lead, pvars):
+        stored.append((ref, dict(p)))
+        add_row(self, ref, p, lead, pvars)
+
+    monkeypatch.setattr(DeductionState, "_add_row", recording)
+    monkeypatch.setattr(deduce, "_premise_cone", lambda steps, cited: steps)
+    verdict = prove_null_only(generate_family(desc))
+    rows = {("s", sid): p for sid, (_, p) in replayed_rows(verdict.system, verdict.log).items()}
+    rows.update((("c", i), c.p) for i, c in enumerate(verdict.system.constraints))
+    rows.update(
+        (("s", s.sid), s.conclusion[1]) for s in verdict.log.steps if s.conclusion[0] == "row"
+    )
+    assert any(ref[0] == "s" and ref in rows for ref, _ in stored)
+    assert [ref for ref, p in stored if rows[ref] != p] == []
 
 
 @pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
