@@ -401,8 +401,9 @@ def parse_sweep(spec: str) -> Iterator[str]:
     """Expand e.g. ``tadpole:4,m for m in 1,3,5`` or ``cmn:a,b for a,b in 2..4``.
 
     The spec is checked at once, the family name and its argument count
-    included; the instances are made one at a time as they are read, the
-    first variable varying slowest.
+    first, then that each sweep variable is named once and used; the
+    instances are made one at a time as they are read, the first variable
+    varying slowest.
     """
     if " for " not in spec:
         spec = spec.strip()
@@ -432,6 +433,8 @@ def parse_sweep(spec: str) -> Iterator[str]:
         except ValueError as exc:
             raise InvalidRange(f"bad value list {values!r}") from exc
     name, toks = _sweep_template(template, varnames)
+    if len(set(varnames)) != len(varnames) or not set(varnames) <= set(toks):
+        raise InvalidRange(f"each sweep variable must be named once and used in {spec!r}")
 
     def instance(combo) -> str:
         env = dict(zip(varnames, combo))

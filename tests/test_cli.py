@@ -95,6 +95,21 @@ class TestSweepParsing:
         with pytest.raises(InvalidRange, match="'b'"):
             parse_sweep("cmn:a,b for a in 2..3")
 
+    def test_repeated_variable_rejected(self):
+        with pytest.raises(InvalidRange, match="named once and used"):
+            parse_sweep("cmn:a,a for a,a in 2..3")
+
+    def test_unused_variable_rejected(self):
+        with pytest.raises(InvalidRange, match="named once and used"):
+            parse_sweep("cmn:a,2 for a,b in 2..3")
+
+
+@pytest.mark.parametrize("spec", ["cmn:a,a for a,a in 2..3", "cmn:a,2 for a,b in 2..3"])
+def test_sweep_rejects_a_repeated_or_unused_variable_before_any_output(spec, capsys):
+    assert main(["sweep", spec, "--fast"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "spec, first",
