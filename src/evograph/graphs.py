@@ -13,6 +13,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 
 
 class GraphError(ValueError):
@@ -139,35 +140,38 @@ class SingularityResult:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Validate and build a connected simple graph on vertices 1..n."""
+    """Validate and build a connected simple graph on vertices 1..n.  The
+    edges, connectivity included, are checked before the n x n matrix is
+    allocated, so a disconnected graph costs memory in its edges only."""
     if n < 1:
         raise InvalidParameter(f"vertex count must be positive, got {n}")
-    rows = [[0] * n for _ in range(n)]
+    edges = list(edges)
+    nbrs: dict[int, set[int]] = {}
     for u, v in edges:
         if not (1 <= u <= n) or not (1 <= v <= n):
             raise OutOfRange(f"edge ({u},{v}) out of range 1..{n}")
         if u == v:
             raise LoopEdge(f"loop edge at vertex {u}")
-        if rows[u - 1][v - 1]:
+        if v in nbrs.setdefault(u, set()):
             raise DuplicateEdge(f"duplicate edge ({u},{v})")
-        rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
-    g = Graph(n, tuple(tuple(r) for r in rows))
-    _check_connected(g)
-    return g
-
-
-def _check_connected(g: Graph) -> None:
-    seen = {1}
-    stack = [1]
+        nbrs[u].add(v)
+        nbrs.setdefault(v, set()).add(u)
+    seen, stack = {1}, [1]
     while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != g.n:
-        missing = sorted(set(g.vertices()) - seen)
-        raise Disconnected(f"graph is not connected; unreachable vertices {missing}")
+        fresh = nbrs.get(stack.pop(), set()) - seen
+        seen |= fresh
+        stack.extend(fresh)
+    if len(seen) != n:
+        shown = list(islice((v for v in range(1, n + 1) if v not in seen), 5))
+        more = ", ..." if n - len(seen) > len(shown) else ""
+        raise Disconnected(
+            f"graph is not connected; {n - len(seen)} unreachable vertices: "
+            f"{', '.join(map(str, shown))}{more}"
+        )
+    rows = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = 1
+    return Graph(n, tuple(tuple(r) for r in rows))
 
 
 def adjacency_matrix(g: Graph) -> list[list[Fraction]]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,17 @@ class TestEdgeListFiles:
     def test_empty_file(self):
         with pytest.raises(GraphParseError):
             parse_edge_list("# nothing\n")
+
+    def test_disconnected_graph_rejected_before_its_matrix(self):
+        # the 3000 x 3000 matrix alone would take tens of megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(Disconnected) as exc:
+                parse_edge_list("3000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert str(exc.value) == (
+            "graph is not connected; 2999 unreachable vertices: 2, 3, 4, 5, 6, ..."
+        )
