@@ -773,20 +773,20 @@ def _pick_branch_var(state: DeductionState) -> int | None:
     return min(v for v, c in counts.items() if c == best)
 
 
-def _explore(state: DeductionState, depth: int) -> bool:
+def _explore(state: DeductionState) -> bool:
     try:
         saturate(state)
     except BranchClosed:
         return True
     v = _pick_branch_var(state)
-    if v is None or depth >= state.shared.budget.max_depth:
+    if v is None or len(state.branch) >= state.shared.budget.max_depth:
         _leave_open(state, cut=v is not None)
         return False
     closed = True
     for nz in (False, True):
         with _subtree(state.shared):
             child = _open_branch(state, v, nz)
-            child_closed = child is None or _explore(child, depth + 1)
+            child_closed = child is None or _explore(child)
         if not child_closed:
             closed = False
             if state.shared.witness is not None:
@@ -883,7 +883,7 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
             apply_leaf_twin_cross_rules(root)
             for idx in range(len(sys.constraints)):
                 root.enqueue(("c", idx), sys.constraints[idx].p)
-            closed = _explore(root, 0)
+            closed = _explore(root)
     except BudgetExhausted:
         kind, reason, open_branches = UNKNOWN, "budget-exhausted", 1
     else:

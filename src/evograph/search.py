@@ -58,6 +58,7 @@ VERIFIED_HOM = "verified-hom"
 MAX_ITERATIONS = 500  # damped least-squares steps per restart
 TOL_RESIDUAL = 1e-10  # residual max-norm below which a point is reconstructed
 TOL_NULL = 1e-3  # entry max-norm below which a point is the null map
+TOL_RECONSTRUCT = 1e-8  # distance within which an entry is read as its exact value
 INIT_SCALE = 1.5  # starts are uniform in [-INIT_SCALE, INIT_SCALE]
 # Restarts are minimised in blocks whose stacked n^2 x n^2 normal matrices
 # fit in this many bytes; a larger graph runs one restart at a time.
@@ -285,15 +286,15 @@ _RADICAL_BASES = sorted(
 )
 
 
-def reconstruct_scalar(x: float, tol: float = 1e-8) -> Radical | None:
+def reconstruct_scalar(x: float) -> Radical | None:
     """Nearest exact value as p/q (q <= 64) or q * 2^(a/3) * 3^(b/3)."""
     fr = Fraction(x).limit_denominator(64)
-    if abs(x - float(fr)) < tol:
+    if abs(x - float(fr)) < TOL_RECONSTRUCT:
         return Radical.from_rational(fr)
     for a, b in _RADICAL_BASES:
         base = 2.0 ** (a / 3.0) * 3.0 ** (b / 3.0)
         q = Fraction(x / base).limit_denominator(64)
-        if q and abs(x - float(q) * base) < tol:
+        if q and abs(x - float(q) * base) < TOL_RECONSTRUCT:
             rad = Radical.root(Fraction(2) ** a * Fraction(3) ** b, 3)
             return Radical.from_rational(q) * rad
     return None
