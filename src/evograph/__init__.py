@@ -25,7 +25,6 @@ from .deduce import (
     Budget,
     Verdict,
     apply_leaf_rules,
-    apply_leaf_twin_cross_rules,
     prove_null_only,
     saturate,
 )

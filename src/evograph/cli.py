@@ -62,7 +62,8 @@ PREDICT_NO_ALGEBRA = "no-random-walk-algebra"
 
 
 class SoundnessTripwire(RuntimeError):
-    """A structural prediction contradicted a certified verdict."""
+    """A certified null-only verdict met a predicted isomorphism or a
+    verified homomorphism."""
 
 
 @dataclass
@@ -128,7 +129,7 @@ def analyze_graph(
 ) -> AnalysisReport:
     """Classify, certify and, unless ``run_numeric`` is false, search;
     ``cfg`` defaults to ``SearchConfig()``."""
-    from .search import SearchConfig, closed_form_iso, find_homomorphism
+    from .search import VERIFIED_HOM, SearchConfig, closed_form_iso, find_homomorphism
 
     sing = is_singular(g)
     reg = classify_regularity(g)
@@ -175,6 +176,10 @@ def analyze_graph(
             "isomorphism": out.isomorphism,
             "restart": out.restart_index,
         }
+        if verdict.kind == NULL_ONLY and out.kind == VERIFIED_HOM:
+            raise SoundnessTripwire(
+                f"{instance}: certified null-only but the search verified a homomorphism"
+            )
     return report
 
 

@@ -12,7 +12,8 @@ mutex pairs, nonzero assumptions).  Saturation interleaves
     variable and is substituted into quadratic occurrences elsewhere,
   * real-field sign rules (a same-sign sum of squares forces each
     summand to vanish; a same-sign constant on top is a contradiction),
-  * mutex reasoning on leaf-anchor columns and product rows,
+  * mutex reasoning on single-monomial product rows (a leaf's anchor
+    column gives such rows: N(leaf) is the anchor alone),
   * exact solving of square cycles x^2 = k*y, y^2 = m*x under a
     nonzero assumption (real cube roots are unique, so no sign split),
 
@@ -65,7 +66,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, combinations
+from itertools import chain
 from typing import NoReturn
 
 from . import poly
@@ -87,7 +88,7 @@ class Budget:
 class Verdict:
     kind: str  # NULL_ONLY | UNKNOWN | FOUND_STRUCTURE
     log: ProofLog
-    open_branches: int = 0  # open leaves met; a found-structure split ends at the witness leaf
+    open_branches: int = 0  # the log's open leaves; a found-structure split ends at its witness
     reason: str = ""
     witness: HomCandidate | None = None
     system: HomSystem | None = None  # the constraint system the log refers to
@@ -119,14 +120,8 @@ class _Shared:
         self.steps: list[Step] = []
         self.trimmed: list[list[Step]] = []
         self.cited: set[int] = set()  # ids that trimmed steps cite as premises
-        self.open_leaves = 0
         self.witness: HomCandidate | None = None  # of the first open leaf that has one
         self.depth_cut = False
-        # (x, y) with x < y -> its leaf-mutex step, in ascending pair order,
-        # and each variable -> the pairs it is in; filled once by
-        # apply_leaf_rules and read by every branch
-        self.mutex_pairs: dict[tuple[int, int], Ref] = {}
-        self.mutex_by_var: dict[int, list[tuple[int, int]]] = {}
         # _eval_partial's result per (row ref, value step refs of the row's
         # valued variables in order); both kinds of ref name immutable facts,
         # so an entry holds in every branch
@@ -493,26 +488,22 @@ class DeductionState:
         return self.shared.next_sid > before or bool(self.pending) or bool(self.dirty)
 
     def _scan_mutex(self, chains, links):
-        # only a pair with a member in chains can fire, in ascending pair order;
-        # a pair from a row overrides the same pair from a leaf column
-        leaf, row_pairs = self.shared.mutex_pairs, self.pair_mutex
-        by_var = self.shared.mutex_by_var
-        keys = {key for v in chains for key in by_var.get(v, ())}
-        keys.update(key for key in row_pairs if key[0] in chains or key[1] in chains)
-        for key in sorted(keys):
+        # only a pair with a member in chains can fire, in ascending pair order
+        row_pairs = self.pair_mutex
+        for key in sorted(k for k in row_pairs if k[0] in chains or k[1] in chains):
             x, y = key
             for a, b in ((x, y), (y, x)):
                 if a in chains and b not in self.zeros:
                     zref = self.emit(
                         "mutex-elim",
-                        [row_pairs.get(key, leaf.get(key))] + chains[a],
+                        [row_pairs[key]] + chains[a],
                         ("zero", b),
                         {"mode": "nonzero", "var": a},
                     )
                     self.add_zero(b, zref)
         # pair shapes: a linking two-monomial row zeroes both members
         for ref, key in links:
-            mref = row_pairs.get(key, leaf.get(key))
+            mref = row_pairs.get(key)
             if mref is None or ref == mref:
                 continue
             for v in key:
@@ -677,58 +668,36 @@ def _eval_partial(p: poly.Poly, vals: dict[int, Radical]):
 
 
 def apply_leaf_rules(state: DeductionState) -> list[Ref]:
-    """Column mutexes for leaf anchors; zeros for twin leaf pairs."""
+    """The premise-free rules on twin leaves, two leaves with one anchor:
+    every twin pair's zeros (``leaf-twin-zero``), then every twin pair's
+    relations with each third leaf (``leaf-twin-cross``)."""
     sys, g = state.sys, state.sys.graph
     out: list[Ref] = []
-    anchors_done = set()
-    pairs: dict[tuple[int, int], Ref] = {}
-    for leaf in sorted(g.leaves()):
-        anchor = next(iter(g.neighbors(leaf)))
-        if anchor not in anchors_done:
-            anchors_done.add(anchor)
-            col = tuple(sys.var(i, anchor) for i in g.vertices())
-            mref = state.emit("leaf-mutex", [], ("mutex", col))
-            # columns of distinct anchors share no variable, hence no pair
-            pairs.update(dict.fromkeys(combinations(sorted(col), 2), mref))
-            out.append(mref)
-        for twin in sorted(g.leaves()):
-            if twin != leaf and g.neighbors(twin) == g.neighbors(leaf):
-                for (i, k) in ((twin, anchor), (leaf, anchor), (anchor, leaf), (anchor, twin)):
-                    v = sys.var(i, k)
-                    if v not in state.zeros:
-                        zref = state.emit("leaf-twin-zero", [], ("zero", v))
-                        state.add_zero(v, zref)
-                        out.append(zref)
-    state.shared.mutex_pairs = dict(sorted(pairs.items()))
-    for key in state.shared.mutex_pairs:
-        for v in key:
-            state.shared.mutex_by_var.setdefault(v, []).append(key)
-    return out
-
-
-def apply_leaf_twin_cross_rules(state: DeductionState) -> list[Ref]:
-    """Relations between a twin pair of leaves and any third leaf."""
-    sys, g = state.sys, state.sys.graph
-    out: list[Ref] = []
-    leaves = sorted(g.leaves())
-    pairs = [
-        (l, u)
-        for i, l in enumerate(leaves)
-        for u in leaves[i + 1:]
-        if g.neighbors(l) == g.neighbors(u)
+    anchor = {l: next(iter(g.neighbors(l))) for l in sorted(g.leaves())}
+    leaves = list(anchor)
+    twins = [
+        (l, u) for i, l in enumerate(leaves) for u in leaves[i + 1:] if anchor[l] == anchor[u]
     ]
-    for l, u in pairs:
-        kl = next(iter(g.neighbors(l)))
+
+    def zero(rule: str, i: int, k: int):
+        v = sys.var(i, k)
+        if v not in state.zeros:
+            zref = state.emit(rule, [], ("zero", v))
+            state.add_zero(v, zref)
+            out.append(zref)
+
+    for l, u in twins:
+        kl = anchor[l]
+        for i, k in ((u, kl), (l, kl), (kl, l), (kl, u)):
+            zero("leaf-twin-zero", i, k)
+    for l, u in twins:
+        kl = anchor[l]
         for w in leaves:
             if w in (l, u):
                 continue
-            kw = next(iter(g.neighbors(w)))
-            for (i, k) in ((u, kw), (l, kw), (kl, w)):
-                v = sys.var(i, k)
-                if v not in state.zeros:
-                    zref = state.emit("leaf-twin-cross", [], ("zero", v))
-                    state.add_zero(v, zref)
-                    out.append(zref)
+            kw = anchor[w]
+            for i, k in ((u, kw), (l, kw), (kl, w)):
+                zero("leaf-twin-cross", i, k)
             rows = [
                 poly.poly_from_terms(
                     [(_ONE, (sys.var(kw, l),)), (-_ONE, (sys.var(kw, u),))]
@@ -779,17 +748,20 @@ def _explore(state: DeductionState) -> bool:
     except BranchClosed:
         return True
     v = _pick_branch_var(state)
-    if v is None or len(state.branch) >= state.shared.budget.max_depth:
-        _leave_open(state, cut=v is not None)
+    sh = state.shared
+    if v is None or len(state.branch) >= sh.budget.max_depth:
+        # an open leaf; its witness, if it has one, ends the split
+        sh.depth_cut |= v is not None
+        sh.witness = _leaf_witness(state)
         return False
     closed = True
     for nz in (False, True):
-        with _subtree(state.shared):
+        with _subtree(sh):
             child = _open_branch(state, v, nz)
             child_closed = child is None or _explore(child)
         if not child_closed:
             closed = False
-            if state.shared.witness is not None:
+            if sh.witness is not None:
                 break  # the first witness settles the verdict
     return closed
 
@@ -813,14 +785,6 @@ def _subtree(sh: _Shared):
     finally:
         sh.steps = outer
         sh.trimmed[slot] = _premise_cone(own, sh.cited)
-
-
-def _leave_open(state: DeductionState, cut: bool):
-    """Count an open leaf and keep its witness, if it has one; a witness ends the split."""
-    sh = state.shared
-    sh.open_leaves += 1
-    sh.depth_cut |= cut
-    sh.witness = _leaf_witness(state)
 
 
 def _open_branch(state: DeductionState, v: int, nz: bool) -> DeductionState | None:
@@ -875,19 +839,16 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
     root = DeductionState(shared)
     try:
         with _subtree(shared):
-            # the leaf rules add only zeros, and the root has no nonzero fact
-            # to conflict with; each zero is t_ik with just one of i, k a
-            # leaf, so no diagonal entry and hence no column is zeroed:
-            # nothing here closes
+            # the leaf rules' zeros meet no nonzero fact at the root; each
+            # is t_ik with just one of i, k a leaf, so no diagonal entry and
+            # hence no column is zeroed: nothing here closes
             apply_leaf_rules(root)
-            apply_leaf_twin_cross_rules(root)
             for idx in range(len(sys.constraints)):
                 root.enqueue(("c", idx), sys.constraints[idx].p)
             closed = _explore(root)
     except BudgetExhausted:
-        kind, reason, open_branches = UNKNOWN, "budget-exhausted", 1
+        kind, reason = UNKNOWN, "budget-exhausted"
     else:
-        open_branches = shared.open_leaves
         if closed:
             kind, reason = NULL_ONLY, ""
         elif shared.witness is not None:
@@ -895,15 +856,26 @@ def prove_null_only(g: Graph, budget: Budget = Budget()) -> Verdict:
         else:
             kind = UNKNOWN
             reason = "budget-exhausted" if shared.depth_cut else "open branches at fixpoint"
+    steps = list(chain.from_iterable(shared.trimmed))
     return Verdict(
         kind,
-        ProofLog(list(chain.from_iterable(shared.trimmed)), kind),
-        open_branches=open_branches,
+        ProofLog(steps, kind),
+        open_branches=_open_leaves(steps),
         reason=reason,
         witness=shared.witness,
         system=sys,
         derived=shared.next_sid,
     )
+
+
+def _open_leaves(steps: list[Step]) -> int:
+    """The log's open leaves: the root and each branch it opens that has no
+    ``branch-close`` and no child.  A step budget that runs out mid-split
+    leaves the branch it was in open, whatever else stays unexplored."""
+    opened = [s.branch for s in steps if s.rule == "branch-open"]
+    closed = {s.branch for s in steps if s.rule == "branch-close"}
+    split = {b[:-1] for b in opened}
+    return sum(b not in closed and b not in split for b in [()] + opened)
 
 
 def _premise_cone(steps: list[Step], cited: set[int]) -> list[Step]:

@@ -12,7 +12,7 @@ engine that produced the log.  Everything it accepts is declared once,
 in ``CHECKS``: a step's rule and mode (the payload's "op" for
 ``substitute``, its "mode" otherwise, ``None`` when absent) select the
 conclusion kinds the step may state and the check that validates it,
-and a pair not in the table is rejected.  The three premise-free leaf
+and a pair not in the table is rejected.  The two premise-free leaf
 rules are checked against tables of admissible conclusions computed once
 from the graph.  A step's premises must be exactly the refs its check
 uses (as a set: a ref may repeat).  A ``substitute`` step's row is fully
@@ -20,8 +20,10 @@ determined by its premises and payload, so it is never stated: its
 conclusion is ``derived``, and the replayer takes the row its check
 computes as the step's conclusion.  A log that states such a row, as
 the logs of earlier versions do, is rejected at its first ``substitute``
-step.  A stated cube root is checked by cubing it and testing its bases
-for primality: the replayer takes no roots and factors nothing.
+step.  Their ``leaf-mutex`` steps, whose pairs the product constraints
+state as one-monomial rows, no longer load.  A stated cube root is
+checked by cubing it and testing its bases for primality: the replayer
+takes no roots and factors nothing.
 The replayer finally checks that the case-split tree is exhaustive (each
 split has both a "= 0" and a "!= 0" child) and that the claimed verdict
 follows.
@@ -115,7 +117,6 @@ class ReplayResult:
 CONCLUSIONS = {
     "zero": ("var",),
     "value": ("var", "scalar"),
-    "mutex": ("vars",),
     "row": ("terms",),
     "assume": ("var", "sign"),
     "closed": ("how",),
@@ -147,7 +148,6 @@ def _fields(sys: HomSystem) -> dict[str, tuple]:
     ref = (list, tuple)
     return {
         "var": (name, var),
-        "vars": (lambda vs: [name(v) for v in vs], lambda xs: tuple(var(x) for x in xs)),
         "scalar": (str, Radical.parse),
         "terms": (write_terms, read_terms),
         "sign": (lambda nz: "nonzero" if nz else "zero", _SIGNS.__getitem__),
@@ -293,12 +293,11 @@ def _is_zero(c: tuple) -> bool:
 def _leaf_axioms(sys: HomSystem) -> dict[str, set[tuple]]:
     """Admissible conclusions of the premise-free leaf rules, by rule.
 
-    A mutex is keyed by its frozenset of variables and a row by the
-    frozenset of its items, so each conclusion is one membership test.
+    A row is keyed by the frozenset of its items, so each conclusion is one
+    membership test.
     """
     g, var = sys.graph, sys.var
     anchor = {l: next(iter(g.neighbors(l))) for l in g.leaves()}
-    mutex = {("mutex", frozenset(var(i, k) for i in g.vertices())) for k in anchor.values()}
     twin_zero: set[tuple] = set()
     cross: set[tuple] = set()
     for l, kl in anchor.items():
@@ -317,7 +316,7 @@ def _leaf_axioms(sys: HomSystem) -> dict[str, set[tuple]]:
                     {sq: 1, (var(kw, u),): -1},
                 ):
                     cross.add(("row", frozenset(row.items())))
-    return {"leaf-mutex": mutex, "leaf-twin-zero": twin_zero, "leaf-twin-cross": cross}
+    return {"leaf-twin-zero": twin_zero, "leaf-twin-cross": cross}
 
 
 class _Derived(NamedTuple):
@@ -431,12 +430,9 @@ class _Replayer:
         self.fail(step, "nonzero-evidence chain ends without evidence")
 
     def _mutex_pair_ok(self, ref: Ref, x: int, y: int, step: Step) -> None:
-        """ref must witness that at most one of x, y is nonzero."""
+        """ref must witness that at most one of x, y is nonzero: a row that
+        is the one monomial x*y."""
         concl = self.premise(ref, step)
-        if concl[0] == "mutex":
-            if x in concl[1] and y in concl[1]:
-                return
-            self.fail(step, "mutex fact does not cover both variables")
         if concl[0] == "row" and len(concl[1]) == 1:
             mono = next(iter(concl[1]))
             if len(mono) == 2 and set(mono) == {x, y}:
@@ -474,9 +470,7 @@ class _Replayer:
 
     def _axiom(self, step: Step):
         kind, arg = step.conclusion[0], step.conclusion[1]
-        if kind == "mutex":
-            arg = frozenset(arg)
-        elif kind == "row":
+        if kind == "row":
             arg = frozenset(arg.items())
         if (kind, arg) not in self.axioms[step.rule]:
             self.fail(step, f"{kind} conclusion is not a {step.rule} axiom of the graph")
@@ -658,7 +652,6 @@ class _Replayer:
 # (conclusion kinds the step may state, check).  One entry per pair the
 # engine emits.  A "derived" step's check computes its row.
 CHECKS = {
-    ("leaf-mutex", None): ({"mutex"}, _Replayer._axiom),
     ("leaf-twin-zero", None): ({"zero"}, _Replayer._axiom),
     ("leaf-twin-cross", None): ({"zero", "row"}, _Replayer._axiom),
     ("substitute", "lincomb"): ({"derived"}, _Replayer._lincomb),

@@ -253,14 +253,14 @@ class TestCommands:
         assert replay_proof(sys_, log)
 
     def test_prove_reports_kept_and_derived_steps(self):
-        # a null-only log keeps its premise cone: 1 760 of path:9's 4 796 steps
+        # a null-only log keeps its premise cone: 1 760 of path:9's 4 794 steps
         code, out, _ = run_cli("prove", "path:9")
-        assert code == 0 and "proof log steps: 1760 (of 4796 derived)" in out
+        assert code == 0 and "proof log steps: 1760 (of 4794 derived)" in out
 
     def test_prove_counts_every_derived_step_of_a_trimmed_unknown_log(self):
-        # an unknown log keeps its premise cone too: 2 074 of path:11's 8 520
+        # an unknown log keeps its premise cone too: 2 074 of path:11's 8 518
         code, out, _ = run_cli("prove", "path:11")
-        assert code == 3 and "proof log steps: 2074 (of 8520 derived)" in out
+        assert code == 3 and "proof log steps: 2074 (of 8518 derived)" in out
 
     def test_gen_round_trips(self, tmp_path):
         path = tmp_path / "t41.edges"
@@ -310,6 +310,14 @@ class TestCommands:
         monkeypatch.setattr(cli, "prove_null_only", lambda g, budget: forged)
         assert main(["analyze", "cycle:4", "--fast"]) == 1
         assert main(["sweep", "cycle:4", "--fast"]) == 1
+        assert "soundness" in capsys.readouterr().err
+
+    def test_trips_on_a_verified_homomorphism_next_to_null_only(self, monkeypatch, capsys):
+        forged = search.SearchOutcome(search.VERIFIED_HOM, 0.0)
+        monkeypatch.setattr(search, "find_homomorphism", lambda g, cfg: forged)
+        assert main(["analyze", "bull", "--json"]) == 1
+        assert "soundness" in capsys.readouterr().err
+        assert main(["sweep", "bull"]) == 1
         assert "soundness" in capsys.readouterr().err
 
     def test_prove_without_output_writes_no_log(self, monkeypatch, capsys):

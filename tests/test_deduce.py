@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from evograph.deduce import (
     _pick_branch_var,
     _Shared,
     apply_leaf_rules,
-    apply_leaf_twin_cross_rules,
     prove_null_only,
     saturate,
 )
@@ -54,21 +54,7 @@ def fresh_state(g):
     return sys, DeductionState(shared)
 
 
-def anchor_columns(sys, state):
-    """The columns of the shared leaf-mutex pairs; a pair never spans two."""
-    cols = {tuple(sys.var_pair(v)[1] for v in pair) for pair in state.shared.mutex_pairs}
-    assert all(a == b for a, b in cols)
-    return {a for a, _ in cols}
-
-
 class TestLeafRules:
-    def test_bull_anchor_mutexes(self):
-        g = bull_graph()
-        sys, state = fresh_state(g)
-        apply_leaf_rules(state)
-        assert anchor_columns(sys, state) == {3, 4}  # anchors of the two pendant vertices
-        assert not state.zeros  # bull is twin-free, no part-three zeros
-
     def test_twin_leaf_zeros_on_diameter_three_tree(self):
         g = caterpillar(2, 2)  # leaves 3,4 on vertex 1; 5,6 on vertex 2
         sys, state = fresh_state(g)
@@ -76,15 +62,11 @@ class TestLeafRules:
         expected = set()
         for leaf, anchor in [(3, 1), (4, 1), (5, 2), (6, 2)]:
             expected |= {sys.var(leaf, anchor), sys.var(anchor, leaf)}
-        assert set(state.zeros) == expected
-
-    def test_path2_has_only_mutexes(self):
-        # both endpoints are leaves but their neighbourhoods differ
-        g = path_graph(2)
-        sys, state = fresh_state(g)
-        apply_leaf_rules(state)
-        assert anchor_columns(sys, state) == {1, 2}
-        assert not state.zeros
+        rules = [s.rule for s in state.shared.steps]
+        twin = [s.conclusion[1] for s in state.shared.steps if s.rule == "leaf-twin-zero"]
+        assert set(twin) == expected and len(twin) == len(expected)
+        # every leaf-twin-zero step comes before every leaf-twin-cross step
+        assert rules == sorted(rules, key=["leaf-twin-zero", "leaf-twin-cross"].index)
 
 
 class TestCrossRules:
@@ -92,7 +74,6 @@ class TestCrossRules:
         g = caterpillar(2, 2)
         sys, state = fresh_state(g)
         apply_leaf_rules(state)
-        apply_leaf_twin_cross_rules(state)
         # pendants of one spine vertex are zero against the other spine vertex
         for v in (3, 4):
             assert sys.var(v, 2) in state.zeros
@@ -102,12 +83,10 @@ class TestCrossRules:
             assert sys.var(1, w) in state.zeros
 
     def test_bull_produces_nothing(self):
-        g = bull_graph()
-        sys, state = fresh_state(g)
-        apply_leaf_rules(state)
-        n_before = len(state.zeros)
-        refs = apply_leaf_twin_cross_rules(state)
-        assert refs == [] and len(state.zeros) == n_before
+        # no two leaves share an anchor, and both leaf rules need twin leaves
+        sys, state = fresh_state(bull_graph())
+        assert apply_leaf_rules(state) == []
+        assert not state.zeros and not state.pending and not state.shared.steps
 
 
 class TestSaturate:
@@ -134,7 +113,6 @@ class TestSaturate:
         for g in corpus:
             sys, state = fresh_state(g)
             apply_leaf_rules(state)
-            apply_leaf_twin_cross_rules(state)
             for i in range(len(sys.constraints)):
                 state.enqueue(("c", i), sys.constraints[i].p)
             try:
@@ -337,7 +315,6 @@ def test_occurrence_indexes_match_rows(desc):
     """Root and both children of its first split: indexes equal a rebuild."""
     system, root = fresh_state(generate_family(desc))
     apply_leaf_rules(root)
-    apply_leaf_twin_cross_rules(root)
     for i, con in enumerate(system.constraints):
         root.enqueue(("c", i), con.p)
     closed = _saturate_or_close(root)
@@ -444,6 +421,33 @@ CORPUS = list(
     )
 )
 CORPUS_AND_BENCHMARK = list(dict.fromkeys(CORPUS + _benchmark_certify_instances()))
+# the graphs above with a leaf, and path:2, whose two leaves anchor each other
+WITH_LEAVES = [
+    d for d in dict.fromkeys(CORPUS_AND_BENCHMARK + ["path:2"]) if generate_family(d).leaves()
+]
+
+
+@pytest.mark.parametrize("desc", WITH_LEAVES)
+def test_root_pass_registers_every_anchor_column_pair(desc):
+    """A leaf's anchor column is a mutex column through the product
+    constraints alone: after the root's leaf rules and its first pass over
+    the constraints, each pair of that column with no known-zero member is
+    in ``pair_mutex``: a one-monomial row, the constraint's or one derived
+    earlier in the pass, states it."""
+    g = generate_family(desc)
+    system, root = fresh_state(g)
+    apply_leaf_rules(root)
+    for i, con in enumerate(system.constraints):
+        root.enqueue(("c", i), con.p)
+    try:
+        root.process_pending()
+    except BranchClosed:
+        return  # the root closes within its first pass, before any scan reads a pair
+    anchors = {next(iter(g.neighbors(leaf))) for leaf in g.leaves()}
+    for a in sorted(anchors):
+        column = [system.var(i, a) for i in g.vertices() if system.var(i, a) not in root.zeros]
+        for key in combinations(column, 2):
+            assert key in root.pair_mutex, (a, [system.var_name(v) for v in key])
 
 
 @pytest.mark.parametrize("desc", CORPUS_AND_BENCHMARK)
@@ -603,14 +607,32 @@ def test_case_tree_shape_is_pinned(desc, corpus_proof):
     assert _tree_shape(corpus_proof(desc).verdict) == TREE_SHAPES[desc]
 
 
+def _log_leaves(steps) -> list[tuple]:
+    """The open leaves of a log: the root and each opened branch with no
+    branch-close and no child, in log order."""
+    opened = [s.branch for s in steps if s.rule == "branch-open"]
+    closed = {s.branch for s in steps if s.rule == "branch-close"}
+    split = {b[:-1] for b in opened}
+    return [b for b in [()] + opened if b not in closed and b not in split]
+
+
+@pytest.mark.parametrize(
+    "desc, max_steps",
+    [("bull", 40), ("path:9", 2_000), ("complete_bipartite:2,3", 1_000), ("star:4", 1_000)],
+)
+def test_step_budget_reports_the_open_leaves_of_its_log(desc, max_steps):
+    # the budget runs out at the root, or deep in a case tree with many leaves left open
+    verdict = prove_null_only(generate_family(desc), Budget(max_steps=max_steps))
+    assert verdict.reason == "budget-exhausted"
+    assert verdict.open_branches == len(_log_leaves(verdict.log.steps)) > 0
+
+
 @pytest.mark.parametrize("desc", ["path:2", "cycle:4", "cycle:5"])
 def test_split_stops_at_the_witness_leaf(desc, corpus_proof):
     g, system, verdict, _ = corpus_proof(desc)
     steps = verdict.log.steps
     opened = [s.branch for s in steps if s.rule == "branch-open"]
-    closed = {s.branch for s in steps if s.rule == "branch-close"}
-    split = {b[:-1] for b in opened}
-    leaves = [b for b in [()] + opened if b not in closed and b not in split]
+    leaves = _log_leaves(steps)
     assert len(leaves) == verdict.open_branches
     w = verdict.witness.entries
 

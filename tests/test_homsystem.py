@@ -26,6 +26,7 @@ from evograph.prooflog import dump_system
 from evograph.radicals import RadicalSum
 from evograph.search import SearchConfig, closed_form_iso, find_homomorphism
 
+from test_deduce import WITH_LEAVES
 from test_graphs import connected_graphs
 
 F = Fraction
@@ -62,6 +63,18 @@ class TestDeriveConstraints:
         for i, j in itertools.combinations(range(1, 6), 2):
             c = next(c for c in sys.constraints if c.tag == f"prodzero:5:{i}:{j}")
             assert c.p == {tuple(sorted((v(i, 4), v(j, 4)))): F(1)}
+
+    @pytest.mark.parametrize("desc", WITH_LEAVES)
+    def test_every_leaf_product_constraint_is_one_anchor_monomial(self, desc):
+        # N(l) = {a} for a leaf l on a, so prodzero:l:i:j is t_i_a*t_j_a = 0,
+        # the one-monomial row that makes t_i_a, t_j_a a mutex pair
+        g = generate_family(desc)
+        sys = derive_constraints(g)
+        rows = {c.tag: c.p for c in sys.constraints}
+        for leaf in g.leaves():
+            (a,) = g.neighbors(leaf)
+            for i, j in itertools.combinations(g.vertices(), 2):
+                assert rows[f"prodzero:{leaf}:{i}:{j}"] == {(sys.var(i, a), sys.var(j, a)): 1}
 
     @staticmethod
     def _rows(system):
